@@ -7,7 +7,6 @@ import signal
 import threading
 
 from .config import ProxyConfig
-from .loadgen import ScenarioConfig, run_scenario, write_report_csv
 from .mock_backend import MockBackendConfig
 from . import mock_backend, proxy
 
@@ -75,6 +74,9 @@ def main_mockbackend(argv=None) -> int:
 
 
 def main_loadgen(argv=None) -> int:
+    # imported here: the proxy and backend processes never load requests
+    from .loadgen import ScenarioConfig, run_scenario, write_report_csv
+
     ap = argparse.ArgumentParser(
         prog="sem-loadgen", description="SOAP load generator")
     ap.add_argument("--target", required=True, metavar="URL")

@@ -12,7 +12,6 @@ class ProxyConfig:
     # windowing
     window_ms: float = 2.0
     max_batch_size: int = 4096
-    queue_depth: int = 64
     # response cache (staleness caveat: only enable against backends that
     # are deterministic over the TTL)
     cache_enabled: bool = False
@@ -34,8 +33,7 @@ class ProxyConfig:
     max_connections: int = 32
     # operations never coalesced (non-idempotent backends)
     operation_denylist: list[str] = field(default_factory=list)
-    # pipeline
-    batch_workers: int = 8
+    # live metric snapshots
     metrics_interval_s: float = 1.0
 
     @classmethod

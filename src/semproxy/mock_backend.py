@@ -14,6 +14,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import soap
@@ -57,16 +58,19 @@ class MockBackend:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # with Nagle on, a reply's last segment waits for the client's
+            # delayed ACK (about 40 ms)
+            disable_nagle_algorithm = True
 
             def log_message(self, fmt, *args):
                 pass
 
             def _reply(self, status: int, body: bytes, ctype="text/xml; charset=utf-8"):
-                self.send_response(status)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+                head = (f"{self.protocol_version} {status} "
+                        f"{HTTPStatus(status).phrase}\r\n"
+                        f"Content-Type: {ctype}\r\n"
+                        f"Content-Length: {len(body)}\r\n\r\n")
+                self.wfile.write(head.encode("latin-1") + body)  # one send
 
             def do_GET(self):
                 if self.path == STATS_PATH:

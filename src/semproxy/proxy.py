@@ -1,50 +1,43 @@
 """The coalescing reverse proxy.
 
-Five cooperating stages: connection handlers admit parsed requests into the
-window collector; a timer flushes window batches; a single dedup stage
-partitions each batch (or, in passthrough mode, just measures it); a bounded
-pool forwards representatives to the backend; fan-out copies each
-representative's response bytes to its whole duplicate group. Every admitted
-request receives exactly one response.
+One asyncio event loop on one thread does all the work. Each client
+connection is a task that reads a request, parses it and admits it into the
+window collector, then waits on that request's future. A timer armed with
+``loop.call_at`` only while a window holds requests closes the window at its
+epoch-aligned end; the batch is then grouped (or, in passthrough mode, just
+measured) inline, and one task per batch forwards each representative over
+a bounded pool of keep-alive backend connections. As soon as a group's
+backend call completes, its reply bytes resolve the future of every member.
+A future can be resolved once, so every admitted request receives exactly
+one response.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
+import logging
+import socket
 import threading
 import time
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import count
 from typing import Optional
 
-import requests
-from requests.adapters import HTTPAdapter
-
-from . import soap
+from . import http11, soap
 from .config import ProxyConfig
 from .dedup import DedupConfig, DedupResult, Deduplicator
 from .gate import AdaptiveGate, GateConfig, GateMode, GateObservation
 from .metrics import MetricsCollector, export_csv_path
-from .windowing import AdmitResult, WindowBatch, WindowCollector, WindowingStage
+from .windowing import WindowBatch, WindowCollector
 
-HEALTH_PATH = "/_sem/health"
+HEALTH_PATH = b"/_sem/health"
+_XML = b"text/xml; charset=utf-8"
+_JSON = b"application/json"
+_STAGE_FAULT = soap.build_fault("Server", "proxy stage failure")
+_TIMEOUT_FAULT = soap.build_fault("Server.Timeout", "pipeline timeout")
 
-_BACKEND_DOWN_FAULT = soap.build_fault("Server.Unavailable", "backend unreachable")
-
-
-class PendingRequest:
-    """Reply slot for one in-flight client connection."""
-
-    __slots__ = ("request_id", "arrival_ns", "event", "status", "body")
-
-    def __init__(self, request_id: int, arrival_ns: int):
-        self.request_id = request_id
-        self.arrival_ns = arrival_ns
-        self.event = threading.Event()
-        self.status = 504
-        self.body = _BACKEND_DOWN_FAULT
+log = logging.getLogger(__name__)
 
 
 class SemProxy:
@@ -52,12 +45,13 @@ class SemProxy:
         self.config = config or ProxyConfig()
         cfg = self.config
         self.metrics = MetricsCollector()
+        # batches are taken off the queue as soon as they are emitted, so
+        # it never holds more than one
         self.collector = WindowCollector(
             window_ns=int(cfg.window_ms * 1e6),
             max_batch_size=cfg.max_batch_size,
-            queue_depth=cfg.queue_depth,
+            queue_depth=0,
         )
-        self.window_stage = WindowingStage(self.collector)
         self.deduper = Deduplicator(
             DedupConfig(
                 cache_enabled=cfg.cache_enabled,
@@ -75,84 +69,52 @@ class SemProxy:
             window=cfg.gate_window,
             overhead_budget_pct=cfg.overhead_budget_pct,
         ))
-        self._ids = count(1)
-        self._registry: dict[int, PendingRequest] = {}
-        self._registry_lock = threading.Lock()
-        self._delivered_ids: set[int] = set()
-        self._session = requests.Session()
-        adapter = HTTPAdapter(pool_connections=4, pool_maxsize=cfg.max_connections)
-        self._session.mount("http://", adapter)
-        self._forward_pool = ThreadPoolExecutor(
-            max_workers=cfg.max_connections, thread_name_prefix="sem-forward")
-        self._batch_pool = ThreadPoolExecutor(
-            max_workers=cfg.batch_workers, thread_name_prefix="sem-batch")
-        self._dedup_thread = threading.Thread(
-            target=self._dedup_loop, daemon=True, name="sem-dedup")
-        self._stopping = False
+        self.backend = http11.BackendPool(
+            cfg.backend_url, cfg.max_connections,
+            cfg.connect_timeout_s, cfg.request_timeout_s)
         self.snapshots = deque(maxlen=7200)
-        self._reporter_stop = threading.Event()
-        self._reporter = threading.Thread(
-            target=self._reporter_loop, daemon=True, name="sem-reporter")
-
-        proxy = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def setup(self):
-                super().setup()
-                proxy.metrics.record_connection_attempt()
-
-            def log_message(self, fmt, *args):
-                pass
-
-            def do_GET(self):
-                if self.path == HEALTH_PATH:
-                    payload = json.dumps(proxy.health()).encode()
-                    self.send_response(200)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(payload)))
-                    self.end_headers()
-                    self.wfile.write(payload)
-                else:
-                    self.send_error(404)
-
-            def do_POST(self):
-                proxy._handle_post(self)
-
-        class Server(ThreadingHTTPServer):
-            request_queue_size = 1024
-            daemon_threads = True
-
-        self._server = Server(listen_addr, Handler)
-        self._server_thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True, name="sem-accept")
+        self.stage_failures = 0
+        self._pipeline_timeout_s = (
+            cfg.request_timeout_s + cfg.window_ms / 250.0 + 2.0)
+        self._ids = count(1)
+        # future of each admitted request whose client still waits for it
+        self._in_flight: dict[int, asyncio.Future] = {}
+        self._window_timer: Optional[asyncio.TimerHandle] = None
+        self._snapshot_timer: Optional[asyncio.TimerHandle] = None
+        self._batch_tasks: set[asyncio.Task] = set()
+        self._connections: set[asyncio.Task] = set()
+        # writers of connections waiting for their next request
+        self._idle_connections: set[asyncio.StreamWriter] = set()
+        self._closing = False
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._sock = socket.create_server(listen_addr, backlog=1024)
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._run_loop, daemon=True, name="sem-loop")
 
     # ------------------------------------------------------------------ serve
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._server.server_address[:2]
+        return self._sock.getsockname()[:2]
 
     def start(self) -> None:
-        self.window_stage.start()
-        self._dedup_thread.start()
-        self._reporter.start()
-        self._server_thread.start()
+        self._thread.start()
+        asyncio.run_coroutine_threadsafe(self._start(), self._loop).result()
 
     def stop(self, metrics_csv: Optional[str] = None) -> None:
-        """Graceful shutdown: stop accepting, drain in-flight batches."""
-        self._server.shutdown()
-        self._server.server_close()
-        self.window_stage.stop()
-        self._stopping = True
-        self.collector.out_queue.put(None)
-        self._dedup_thread.join(timeout=30)
-        self._batch_pool.shutdown(wait=True)
-        self._forward_pool.shutdown(wait=True)
-        self._reporter_stop.set()
-        self._reporter.join(timeout=5)
-        self._session.close()
+        """Graceful shutdown: stop accepting, close the open window, answer
+        every request in flight, then close client and backend connections."""
+        if self._thread.is_alive():
+            bound = (self._pipeline_timeout_s + self.config.connect_timeout_s
+                     + 5.0)
+            done = asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop)
+            try:
+                done.result(timeout=bound)
+            except TimeoutError:
+                log.error("shutdown did not finish within %.1f s", bound)
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join()
         if metrics_csv:
             export_csv_path(list(self.snapshots), metrics_csv)
 
@@ -161,78 +123,166 @@ class SemProxy:
         data["cache_entries"] = (
             len(self.deduper.cache) if self.deduper.cache is not None else 0)
         data["flushed_batches"] = self.collector.flushed_batches
+        data["in_flight"] = len(self._in_flight)
+        data["stage_failures"] = self.stage_failures
         return data
+
+    def _run_loop(self) -> None:
+        asyncio.set_event_loop(self._loop)
+        try:
+            self._loop.run_forever()
+            # whatever a timed-out shutdown left behind
+            leftover = asyncio.all_tasks(self._loop)
+            for task in leftover:
+                task.cancel()
+            self._loop.run_until_complete(
+                asyncio.gather(*leftover, return_exceptions=True))
+        finally:
+            self._loop.close()
+
+    async def _start(self) -> None:
+        self._server = await asyncio.start_server(
+            self._serve_connection, sock=self._sock,
+            limit=http11.MAX_HEADER_BYTES)
+        self._snapshot_timer = self._loop.call_later(
+            self.config.metrics_interval_s, self._take_snapshot)
+
+    async def _shutdown(self) -> None:
+        self._closing = True
+        self._server.close()
+        self._snapshot_timer.cancel()
+        for writer in self._idle_connections:
+            writer.close()  # the pending read sees end of stream
+        self.collector.flush(time.monotonic_ns() + self.collector.window_ns)
+        self._drain_batches()
+        # a request still being read is admitted later and closes its own
+        # window, so wait until every connection and batch has finished
+        while self._connections or self._batch_tasks:
+            await asyncio.wait(self._connections | self._batch_tasks)
+        await self.backend.close()
+        await self._server.wait_closed()
+
+    def _take_snapshot(self) -> None:
+        self.snapshots.append(self.metrics.snapshot())
+        self._snapshot_timer = self._loop.call_later(
+            self.config.metrics_interval_s, self._take_snapshot)
 
     # -------------------------------------------------------------- ingestion
 
-    def _handle_post(self, handler: BaseHTTPRequestHandler) -> None:
-        arrival = time.monotonic_ns()
+    async def _serve_connection(self, reader: asyncio.StreamReader,
+                                writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._connections.add(task)
+        self.metrics.record_connection_attempt()
         try:
-            length = int(handler.headers.get("Content-Length", 0))
-            raw = handler.rfile.read(length)
-        except (ValueError, OSError):
-            self._respond(handler, 400, soap.build_fault("Client", "bad request"))
-            return
+            while not self._closing:
+                self._idle_connections.add(writer)
+                try:
+                    async with asyncio.timeout(self.config.request_timeout_s):
+                        request = await http11.read_request(reader, writer)
+                except http11.BadRequest as exc:
+                    writer.write(http11.build_reply(
+                        exc.status, soap.build_fault("Client", str(exc)),
+                        _XML, close=True))
+                    return
+                except (TimeoutError, asyncio.IncompleteReadError, OSError):
+                    return  # stalled, idle too long, or gone mid-request
+                finally:
+                    self._idle_connections.discard(writer)
+                if request is None:
+                    return
+                close = not request.keep_alive or self._closing
+                arrival, admitted = None, False
+                if request.method == b"POST":
+                    arrival = time.monotonic_ns()
+                    status, body, admitted = await self._handle_soap(
+                        request.body, arrival)
+                    ctype = _XML
+                else:
+                    status, body, ctype = self._handle_other(request)
+                try:
+                    writer.write(http11.build_reply(status, body, ctype, close))
+                    await writer.drain()
+                except OSError:
+                    if admitted:
+                        self.metrics.dropped_disconnects += 1
+                    return
+                if admitted:
+                    self.metrics.delivered += 1
+                if arrival is not None:
+                    self.metrics.record_response(
+                        len(body), time.monotonic_ns() - arrival)
+                if close:
+                    return
+        finally:
+            self._connections.discard(task)
+            writer.close()
+
+    def _handle_other(self, request: http11.Request) -> tuple[int, bytes, bytes]:
+        if request.method != b"GET":
+            return 501, soap.build_fault("Client", "method not supported"), _XML
+        if request.target != HEALTH_PATH:
+            return 404, soap.build_fault("Client", "not found"), _XML
+        return 200, json.dumps(self.health()).encode(), _JSON
+
+    async def _handle_soap(self, raw: bytes,
+                           arrival: int) -> tuple[int, bytes, bool]:
+        """(status, body, admitted) for one SOAP POST. An admitted request
+        counts as delivered once its reply is written."""
         self.metrics.record_request(len(raw))
         rid = next(self._ids)
         try:
-            req = soap.parse_request(
-                raw, dict(handler.headers), request_id=rid, arrival_time=arrival)
+            # the codec has checked that Content-Length equals len(raw)
+            req = soap.parse_request(raw, {}, request_id=rid, arrival_time=arrival)
         except soap.SoapError as exc:
             self.metrics.faults += 1
-            self._respond(
-                handler, 400,
-                soap.build_fault("Client", f"{type(exc).__name__}: {exc}"),
-                arrival)
-            return
-        pending = PendingRequest(rid, arrival)
-        with self._registry_lock:
-            self._registry[rid] = pending
+            return 400, soap.build_fault(
+                "Client", f"{type(exc).__name__}: {exc}"), False
+        future = self._loop.create_future()
+        self._in_flight[rid] = future
         self.metrics.admitted += 1
-        if self.collector.admit(req, time.monotonic_ns()) is AdmitResult.OVERFLOWED:
-            # bounded queue is full: bypass the optimizer, never drop
-            self.metrics.bypassed += 1
-            status, body = self._call_backend(req)
-            self._deliver(rid, status, body)
-        timeout = self.config.request_timeout_s + self.config.window_ms / 250.0 + 2.0
-        if not pending.event.wait(timeout):
-            with self._registry_lock:
-                self._registry.pop(rid, None)
-            self.metrics.faults += 1
-            self._respond(handler, 504,
-                          soap.build_fault("Server.Timeout", "pipeline timeout"),
-                          arrival)
-            return
-        self._respond(handler, pending.status, pending.body, arrival)
-
-    def _respond(self, handler, status: int, body: bytes,
-                 arrival: Optional[int] = None) -> None:
         try:
-            handler.send_response(status)
-            handler.send_header("Content-Type", "text/xml; charset=utf-8")
-            handler.send_header("Content-Length", str(len(body)))
-            handler.end_headers()
-            handler.wfile.write(body)
-        except OSError:
-            self.metrics.dropped_disconnects += 1
-            return
-        if arrival is not None:
-            self.metrics.record_response(len(body), time.monotonic_ns() - arrival)
+            self.collector.admit(req, time.monotonic_ns())
+            self._drain_batches()
+            self._arm_window_timer()
+            async with asyncio.timeout(self._pipeline_timeout_s):
+                status, body = await future
+            return status, body, True
+        except TimeoutError:
+            # a reply that comes later finds no client: dropped_disconnects
+            self.metrics.faults += 1
+            return 504, _TIMEOUT_FAULT, False
+        finally:
+            del self._in_flight[rid]
 
-    # ----------------------------------------------------------- dedup stage
+    # -------------------------------------------------------------- windowing
 
-    def _dedup_loop(self) -> None:
-        while True:
-            batch = self.collector.out_queue.get()
-            if batch is None:
-                if self._stopping and self.collector.out_queue.empty():
-                    return
-                continue
+    def _arm_window_timer(self) -> None:
+        if self._window_timer is None:
+            end_ns = self.collector.open_window_end
+            if end_ns is not None:
+                # loop.time() is time.monotonic(), the collector's clock
+                self._window_timer = self._loop.call_at(
+                    end_ns / 1e9, self._close_window)
+
+    def _close_window(self) -> None:
+        self._window_timer = None
+        self.collector.flush(time.monotonic_ns())
+        self._drain_batches()
+        self._arm_window_timer()  # the timer may fire a hair early
+
+    def _drain_batches(self) -> None:
+        out = self.collector.out_queue
+        while not out.empty():
+            batch = out.get_nowait()
             try:
                 self._process_batch(batch)
-            except Exception:  # stage must survive; affected clients time out
-                import traceback
-                traceback.print_exc()
+            except Exception:
+                log.exception("batch %d failed", batch.batch_id)
+                self.stage_failures += 1
+                self._fail([r.request_id for r in batch.requests])
+
+    # ------------------------------------------------------------ batch stage
 
     def _current_mode(self) -> GateMode:
         forced = self.config.force_mode
@@ -265,7 +315,12 @@ class SemProxy:
             self.metrics.record_cache(
                 hits=len(result.cache_hits),
                 misses=len(batch.requests) - len(result.cache_hits))
-        self._batch_pool.submit(self._forward_and_fan_out, result, mode)
+        for rid, cached in result.cache_hits:
+            self._deliver(rid, 200, cached)
+        if result.representatives:
+            task = self._loop.create_task(self._forward_batch(result, mode))
+            self._batch_tasks.add(task)
+            task.add_done_callback(self._batch_tasks.discard)
 
     def _measure_only(self, batch: WindowBatch) -> DedupResult:
         """Passthrough mode: still measure the duplicate ratio (the gate
@@ -293,64 +348,65 @@ class SemProxy:
 
     # ------------------------------------------------------ forward + fan-out
 
-    def _call_backend(self, req: soap.SoapRequest) -> tuple[int, bytes]:
+    async def _call_backend(self, req: soap.SoapRequest) -> tuple[int, bytes]:
         self.metrics.record_backend_call()
-        headers = {
-            "Content-Type": "text/xml; charset=utf-8",
-            "SOAPAction": f'"{req.operation}"',
-        }
         t0 = time.monotonic_ns()
         try:
-            resp = self._session.post(
-                self.config.backend_url,
-                data=req.raw_envelope,
-                headers=headers,
-                timeout=(self.config.connect_timeout_s, self.config.request_timeout_s),
-            )
-        except requests.RequestException as exc:
+            status, body = await self.backend.post(
+                req.raw_envelope, req.operation.encode())
+        except (OSError, TimeoutError, asyncio.IncompleteReadError,
+                asyncio.LimitOverrunError, http11.BadResponse) as exc:
             return 502, soap.build_fault(
                 "Server.Unavailable", f"backend error: {type(exc).__name__}")
         self.gate.note_service_time(time.monotonic_ns() - t0)
-        return resp.status_code, resp.content
+        return status, body
 
-    def _forward_and_fan_out(self, result: DedupResult, mode: GateMode) -> None:
+    async def _forward_batch(self, result: DedupResult, mode: GateMode) -> None:
+        """Forward each representative; fan out each group's reply as soon
+        as its own call completes."""
+        responses: dict[int, bytes] = {}
+
+        async def forward_group(rep: soap.SoapRequest) -> None:
+            members = [rep.request_id, *result.groups.get(rep.request_id, ())]
+            try:
+                status, body = await self._call_backend(rep)
+            except Exception:
+                log.exception("forwarding request %d failed", rep.request_id)
+                self.stage_failures += 1
+                self._fail(members)
+                return
+            for rid in members:
+                self._deliver(rid, status, body)
+            if status == 200:
+                responses[rep.request_id] = body
+
         reps = result.representatives
-        responses = dict(zip(
-            (r.request_id for r in reps),
-            self._forward_pool.map(self._call_backend, reps),
-        ))
+        if len(reps) == 1:
+            await forward_group(reps[0])
+        else:
+            await asyncio.gather(*(forward_group(rep) for rep in reps))
         if mode is GateMode.SEM and self.deduper.cache is not None:
-            self.deduper.cache_store(
-                result, {rid: body for rid, (status, body) in responses.items()
-                         if status == 200})
-        for rep in reps:
-            status, body = responses[rep.request_id]
-            self._deliver(rep.request_id, status, body)
-            for dup_id in result.groups.get(rep.request_id, ()):
-                self._deliver(dup_id, status, body)
-        for rid, cached in result.cache_hits:
-            self._deliver(rid, 200, cached)
+            try:
+                self.deduper.cache_store(result, responses)
+            except Exception:
+                log.exception("caching batch %d failed", result.batch_id)
+                self.stage_failures += 1
 
     def _deliver(self, request_id: int, status: int, body: bytes) -> None:
-        with self._registry_lock:
-            pending = self._registry.pop(request_id, None)
-            if pending is None:
-                if request_id in self._delivered_ids:
-                    self.metrics.duplicate_deliveries += 1
-                else:
-                    self.metrics.dropped_disconnects += 1
-                return
-            self._delivered_ids.add(request_id)
-        pending.status = status
-        pending.body = body
-        pending.event.set()
-        self.metrics.delivered += 1
+        future = self._in_flight.get(request_id)
+        if future is None:  # its client stopped waiting
+            self.metrics.dropped_disconnects += 1
+        elif future.done():
+            self.metrics.duplicate_deliveries += 1
+        else:
+            future.set_result((status, body))
 
-    # --------------------------------------------------------------- reporter
-
-    def _reporter_loop(self) -> None:
-        while not self._reporter_stop.wait(self.config.metrics_interval_s):
-            self.snapshots.append(self.metrics.snapshot())
+    def _fail(self, request_ids: list[int]) -> None:
+        """Answer every request of a failed stage that has no reply yet."""
+        for rid in request_ids:
+            future = self._in_flight.get(rid)
+            if future is None or not future.done():
+                self._deliver(rid, 500, _STAGE_FAULT)
 
 
 def serve(listen_addr: tuple[str, int], config: ProxyConfig) -> SemProxy:

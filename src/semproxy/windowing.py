@@ -110,36 +110,18 @@ class WindowCollector:
             self.admitted += 1
             return AdmitResult.ACCEPTED
 
+    @property
+    def open_window_end(self) -> Optional[int]:
+        """End (monotonic ns) of the window that holds admitted requests not
+        yet flushed; None while no request waits."""
+        with self._lock:
+            return self._win_end if self._pending else None
+
     def flush(self, now: int) -> None:
         """Timer entry point: close every window that ended at or before now.
 
-        Blocks on a full downstream queue (backpressure on the single timer
-        thread only).
+        Blocks on a full downstream queue (backpressure on the caller that
+        owns the timer).
         """
         with self._lock:
             self._roll_locked(now, block=True)
-
-
-class WindowingStage:
-    """Drives a WindowCollector with a real-clock timer thread."""
-
-    def __init__(self, collector: WindowCollector):
-        self.collector = collector
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True, name="sem-window-timer")
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def _run(self) -> None:
-        # tick faster than the window so a batch never waits long past its
-        # boundary; flush is a no-op while the window is still open
-        period = self.collector.window_ns / 4e9
-        while not self._stop.wait(period):
-            self.collector.flush(time.monotonic_ns())
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5)
-        # drain whatever is still pending
-        self.collector.flush(time.monotonic_ns() + self.collector.window_ns)

@@ -1,4 +1,6 @@
+import http.client
 import math
+import statistics
 import time
 
 import pytest
@@ -101,6 +103,24 @@ class TestMockBackend:
             t0 = time.monotonic()
             requests.post(url_of(backend), data=body, timeout=10)
             assert time.monotonic() - t0 >= 0.005
+
+    def test_serial_keep_alive_posts_do_not_stall(self, fast_backend):
+        # a reply split over two sends waits ~40 ms for a delayed ACK
+        body = soap.build_request_envelope("Search", ["dog"])
+        conn = http.client.HTTPConnection(*fast_backend.address, timeout=10)
+        try:
+            times = []
+            for _ in range(20):
+                t0 = time.monotonic()
+                conn.request("POST", "/", body,
+                             {"Content-Type": "text/xml; charset=utf-8"})
+                resp = conn.getresponse()
+                resp.read()
+                times.append(time.monotonic() - t0)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(times) < 0.020
 
     def test_serialization_cost_scales_with_rows(self):
         def timed(rows):

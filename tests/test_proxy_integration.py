@@ -1,7 +1,15 @@
 import concurrent.futures as cf
 import hashlib
+import http.client
+import os
+import socket
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
+import pytest
 import requests
 
 from conftest import (assert_exactly_once, backend_calls, proxy_health,
@@ -61,6 +69,24 @@ class TestSingleRequest:
             assert b"Unavailable" in resp.content
         finally:
             proxy.stop()
+
+    def test_silent_backend_times_out(self):
+        # the kernel completes the handshake; nothing ever answers
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            cfg = ProxyConfig(window_ms=5, request_timeout_s=0.5)
+            cfg.backend_url = f"http://127.0.0.1:{silent.getsockname()[1]}/"
+            from semproxy import proxy as px
+            proxy = px.serve(("127.0.0.1", 0), cfg)
+            try:
+                t0 = time.monotonic()
+                resp = post(url_of(proxy),
+                            soap.build_request_envelope("Search", ["x"]),
+                            timeout=10)
+                assert time.monotonic() - t0 < 2.0
+                assert resp.status_code == 502
+                assert b"TimeoutError" in resp.content
+            finally:
+                proxy.stop()
 
 
 class TestCoalescing:
@@ -209,3 +235,120 @@ class TestHealthEndpoint:
                         "window_wait_p95_ms", "requests"):
                 assert key in health
             assert health["admitted"] == health["delivered"] == 1
+
+    def test_interval_snapshots_exported_on_stop(self, fast_backend, tmp_path):
+        from semproxy import proxy as px
+        cfg = ProxyConfig(window_ms=10, metrics_interval_s=0.05)
+        cfg.backend_url = url_of(fast_backend)
+        proxy = px.serve(("127.0.0.1", 0), cfg)
+        try:
+            post(url_of(proxy), soap.build_request_envelope("Search", ["x"]))
+            time.sleep(0.3)
+        finally:
+            proxy.stop(metrics_csv=str(tmp_path / "metrics.csv"))
+        rows = (tmp_path / "metrics.csv").read_text().strip().splitlines()
+        assert rows[0].startswith("interval_start,")
+        assert len(rows) - 1 >= 3
+
+
+class TestDeliveryState:
+    def test_in_flight_empties_and_ledger_balances(self, fast_backend):
+        bodies = [soap.build_request_envelope("Search", [f"q{i % 50}"])
+                  for i in range(500)]
+
+        def caller(share):
+            with requests.Session() as s:
+                return [s.post(url_of(proxy), data=b, timeout=30).status_code
+                        for b in share]
+
+        with running_proxy(fast_backend, ProxyConfig(window_ms=5)) as proxy:
+            with cf.ThreadPoolExecutor(8) as ex:
+                statuses = [c for part in ex.map(caller, [bodies[k::8]
+                                                          for k in range(8)])
+                            for c in part]
+            assert statuses == [200] * 500
+            time.sleep(0.1)  # idle
+            health = proxy_health(proxy)
+            assert health["in_flight"] == 0
+            assert health["admitted"] == health["delivered"] == 500
+            assert_exactly_once(proxy)
+
+    @pytest.mark.parametrize("stage", ["deduper.dedup", "backend.post"])
+    def test_stage_exception_faults_every_member_at_once(self, fast_backend,
+                                                         stage):
+        def broken(*args):
+            raise RuntimeError("injected stage failure")
+
+        cfg = ProxyConfig(window_ms=20, force_mode="sem")
+        with running_proxy(fast_backend, cfg) as proxy:
+            owner, name = stage.split(".")
+            setattr(getattr(proxy, owner), name, broken)
+            bodies = ([soap.build_request_envelope("Search", ["dup"])] * 6
+                      + [soap.build_request_envelope("Search", [f"u{i}"])
+                         for i in range(4)])
+            t0 = time.monotonic()
+            results = concurrent_post(url_of(proxy), bodies)
+            assert time.monotonic() - t0 < 1.0
+            assert {s for s, _ in results} == {500}
+            assert all(b"Fault" in c for _, c in results)
+            health = proxy_health(proxy)
+            assert health["stage_failures"] >= 1
+            assert health["in_flight"] == 0
+            assert_exactly_once(proxy)
+        assert backend_calls(fast_backend) == 0
+
+    def test_stop_answers_in_flight_and_closes_connections(self, fast_backend):
+        from semproxy import proxy as px
+        cfg = ProxyConfig(window_ms=300, force_mode="sem")
+        cfg.backend_url = url_of(fast_backend)
+        proxy = px.serve(("127.0.0.1", 0), cfg)
+        idle = socket.create_connection(proxy.address, timeout=5)
+        replies = []
+        sender = threading.Thread(target=lambda: replies.append(post(
+            url_of(proxy), soap.build_request_envelope("Search", ["x"]))))
+        try:
+            sender.start()
+            deadline = time.monotonic() + 5
+            while proxy.health()["in_flight"] == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            proxy.stop()
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+            assert [r.status_code for r in replies] == [200]
+            assert idle.recv(1) == b""  # the idle keep-alive client is closed
+        finally:
+            idle.close()
+
+
+class TestNoRequestsOnServerPath:
+    def test_server_modules_do_not_import_requests(self):
+        import semproxy
+        src = str(Path(semproxy.__file__).resolve().parents[1])
+        code = ("import sys, semproxy.cli, semproxy.proxy, "
+                "semproxy.mock_backend; print('requests' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+    def test_environment_proxy_is_not_used_for_the_backend(
+            self, fast_backend, monkeypatch):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            closed_port = s.getsockname()[1]
+        for name in ("http_proxy", "HTTP_PROXY"):
+            monkeypatch.setenv(name, f"http://127.0.0.1:{closed_port}")
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        with running_proxy(fast_backend, ProxyConfig(window_ms=5)) as proxy:
+            conn = http.client.HTTPConnection(*proxy.address, timeout=10)
+            try:
+                conn.request("POST", "/",
+                             soap.build_request_envelope("Search", ["x"]),
+                             {"Content-Type": "text/xml; charset=utf-8"})
+                resp = conn.getresponse()
+                assert resp.status == 200, resp.read()
+            finally:
+                conn.close()
