@@ -1,7 +1,7 @@
 """semproxy: a request-coalescing reverse proxy for SOAP web services.
 
-Concurrent requests are batched into short time windows, deduplicated by a
-trie over their call-parameter sequences, and one serialized backend
+Concurrent requests are batched into short time windows, grouped by a key
+built from their call-parameter sequences, and one serialized backend
 response is fanned out to every identical request in the window.
 """
 

@@ -18,12 +18,10 @@ class ProxyConfig:
     cache_ttl_ms: float = 100.0
     cache_capacity: int = 1024
     min_group_size: int = 2
-    compress_threshold_nodes: int = 100_000
     # gate
     gate_enter: float = 0.35
     gate_exit: float = 0.20
     gate_alpha: float = 0.3
-    gate_window: int = 32
     overhead_budget_pct: float = 20.0
     force_mode: Optional[str] = None  # "sem" | "passthrough" | None (adaptive)
     # backend

@@ -1,20 +1,20 @@
-"""Batch deduplication and the persistent hot-response cache.
+"""Batch grouping and the persistent hot-response cache.
 
-Each window batch gets a fresh trie; one representative per distinct
-parameter sequence goes to the backend, every other member of the group
-receives a copy of the representative's response. The hottest sequence of
-each batch may additionally be kept in a persistent trie-backed response
+``Deduplicator.key`` is the one place that decides a request's grouping
+key. Each window batch is grouped through a dict on that key: one
+representative per distinct key goes to the backend, every other member of
+the group receives a copy of the representative's response. The hottest
+key of each batch may additionally be kept in a persistent LRU response
 cache so later windows can skip the backend entirely.
 """
 
 from __future__ import annotations
 
-import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .soap import SeparatorInValue, SoapRequest, build_parameter_sequence
-from .trie import Trie
 from .windowing import WindowBatch
 
 
@@ -30,98 +30,56 @@ class DedupResult:
 
 @dataclass
 class ResponseCacheEntry:
-    sequence: bytes
     response_bytes: bytes
-    hit_count: int
     stored_at: int  # monotonic ns
-    last_hit: int
-    ttl_ns: int
+    hit_count: int = 0
 
 
 class ResponseCache:
-    """Trie-keyed cache of serialized responses for hot parameter sequences.
+    """Serialized responses of hot keys.
 
-    Entries expire after a TTL; when full, the least-recently-hit entry is
-    evicted. Writes come from the dedup stage, reads from fan-out; a single
-    lock serializes access.
+    Entries expire ``ttl_ns`` after they were stored; when full, the
+    least-recently-hit entry is evicted. The dict's order is the eviction
+    order: an entry enters at the end and moves there on each hit, while a
+    re-store refreshes its bytes and expiry but not its place.
     """
 
-    def __init__(self, capacity: int = 1024, ttl_ns: int = 100_000_000,
-                 compress_threshold_nodes: int = 100_000):
+    def __init__(self, capacity: int = 1024, ttl_ns: int = 100_000_000):
         self.capacity = capacity
         self.ttl_ns = ttl_ns
-        self.compress_threshold_nodes = compress_threshold_nodes
-        self._trie = Trie()
-        self._entries: dict[int, ResponseCacheEntry] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.compressed_node_count: Optional[int] = None
+        self._entries: OrderedDict[bytes, ResponseCacheEntry] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def store(self, seq: bytes, response: bytes, now: int) -> None:
-        with self._lock:
-            outcome = self._trie.insert(seq)
-            existing = self._entries.get(outcome.group)
-            if existing is not None:
-                existing.response_bytes = response
-                existing.stored_at = now
-                return
-            if len(self._entries) >= self.capacity:
-                self._evict_coldest_locked()
-            self._entries[outcome.group] = ResponseCacheEntry(
-                sequence=seq, response_bytes=response,
-                hit_count=0, stored_at=now, last_hit=now, ttl_ns=self.ttl_ns,
-            )
-            self._maybe_compact_locked(now)
+        existing = self._entries.get(seq)
+        if existing is not None:
+            existing.response_bytes = response
+            existing.stored_at = now
+            return
+        if len(self._entries) >= self.capacity:
+            self._entries.popitem(last=False)
+        self._entries[seq] = ResponseCacheEntry(response, now)
 
     def lookup(self, seq: bytes, now: int) -> Optional[bytes]:
-        with self._lock:
-            group = self._trie.find(seq)
-            entry = self._entries.get(group) if group is not None else None
-            if entry is None or now >= entry.stored_at + entry.ttl_ns:
-                self.misses += 1
-                return None
-            entry.hit_count += 1
-            entry.last_hit = now
-            self.hits += 1
-            return entry.response_bytes
+        entry = self._entries.get(seq)
+        if entry is None or now >= entry.stored_at + self.ttl_ns:
+            return None
+        entry.hit_count += 1
+        self._entries.move_to_end(seq)
+        return entry.response_bytes
 
     def evict_expired(self, now: int) -> int:
-        with self._lock:
-            dead = [g for g, e in self._entries.items()
-                    if now >= e.stored_at + e.ttl_ns]
-            for g in dead:
-                del self._entries[g]
-            return len(dead)
+        dead = [seq for seq, e in self._entries.items()
+                if now >= e.stored_at + self.ttl_ns]
+        for seq in dead:
+            del self._entries[seq]
+        return len(dead)
 
     def hit_count(self, seq: bytes) -> int:
-        with self._lock:
-            group = self._trie.find(seq)
-            entry = self._entries.get(group) if group is not None else None
-            return entry.hit_count if entry else 0
-
-    def _evict_coldest_locked(self) -> None:
-        coldest = min(self._entries, key=lambda g: self._entries[g].last_hit)
-        del self._entries[coldest]
-
-    def _maybe_compact_locked(self, now: int) -> None:
-        # The trie never deletes keys, so evicted/expired sequences leave
-        # dead nodes behind; rebuild from live entries and record the
-        # suffix-merged size once it grows past the threshold.
-        if self._trie.node_count <= self.compress_threshold_nodes:
-            return
-        fresh = Trie()
-        live = {}
-        for entry in self._entries.values():
-            if now < entry.stored_at + entry.ttl_ns:
-                outcome = fresh.insert(entry.sequence)
-                live[outcome.group] = entry
-        self._trie = fresh
-        self._entries = live
-        self.compressed_node_count = fresh.compress().node_count
+        entry = self._entries.get(seq)
+        return entry.hit_count if entry else 0
 
 
 @dataclass
@@ -130,7 +88,6 @@ class DedupConfig:
     cache_ttl_ms: float = 100.0
     cache_capacity: int = 1024
     min_group_size: int = 2
-    compress_threshold_nodes: int = 100_000
 
 
 class Deduplicator:
@@ -145,44 +102,42 @@ class Deduplicator:
         self.cache = ResponseCache(
             capacity=config.cache_capacity,
             ttl_ns=int(config.cache_ttl_ms * 1e6),
-            compress_threshold_nodes=config.compress_threshold_nodes,
         ) if config.cache_enabled else None
 
+    def key(self, req: SoapRequest) -> Optional[bytes]:
+        """The request's grouping key, or None for a request that must never
+        share a backend call: a denylisted operation, or a parameter value
+        holding the key separator."""
+        if req.operation in self.denylist:
+            return None
+        try:
+            return build_parameter_sequence(req)
+        except SeparatorInValue:
+            return None
+
     def dedup(self, batch: WindowBatch) -> DedupResult:
-        """One fresh trie per batch; representative = earliest arrival."""
-        trie = Trie()
+        """Group one batch by key; representative = earliest arrival."""
         representatives: list[SoapRequest] = []
         groups: dict[int, list[int]] = {}
         cache_hits: list[tuple[int, bytes]] = []
         sequences: dict[int, Optional[bytes]] = {}
-        rep_by_group: dict[int, int] = {}
+        rep_by_key: dict[bytes, int] = {}
         now = self.clock()
         for req in batch.requests:
-            seq = None
-            if req.operation not in self.denylist:
-                try:
-                    seq = build_parameter_sequence(req)
-                except SeparatorInValue:
-                    seq = None
-            if seq is None:
-                # non-coalescable: always its own representative
-                sequences[req.request_id] = None
-                representatives.append(req)
-                groups[req.request_id] = []
-                continue
-            sequences[req.request_id] = seq
-            if self.cache is not None:
-                cached = self.cache.lookup(seq, now)
-                if cached is not None:
-                    cache_hits.append((req.request_id, cached))
+            rid = req.request_id
+            seq = sequences[rid] = self.key(req)
+            if seq is not None:  # None: always its own representative
+                if self.cache is not None:
+                    cached = self.cache.lookup(seq, now)
+                    if cached is not None:
+                        cache_hits.append((rid, cached))
+                        continue
+                rep = rep_by_key.setdefault(seq, rid)
+                if rep != rid:
+                    groups[rep].append(rid)
                     continue
-            outcome = trie.insert(seq)
-            if outcome.created:
-                representatives.append(req)
-                groups[req.request_id] = []
-                rep_by_group[outcome.group] = req.request_id
-            else:
-                groups[rep_by_group[outcome.group]].append(req.request_id)
+            representatives.append(req)
+            groups[rid] = []
         size = len(batch.requests)
         ratio = (size - len(representatives) - len(cache_hits)) / size if size else 0.0
         return DedupResult(

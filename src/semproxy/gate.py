@@ -40,7 +40,6 @@ class GateConfig:
     enter_threshold: float = 0.35
     exit_threshold: float = 0.20
     alpha: float = 0.3
-    window: int = 32
     overhead_budget_pct: float = 20.0
 
 
@@ -61,6 +60,11 @@ class AdaptiveGate:
     @property
     def ratio_ewma(self) -> Optional[float]:
         return self._ratio_ewma
+
+    @property
+    def observations(self) -> int:
+        """Batches observed so far; ``decide`` needs at least one."""
+        return self._observations
 
     @property
     def mode(self) -> GateMode:

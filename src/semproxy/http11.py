@@ -1,11 +1,11 @@
 """Minimal HTTP/1.1 over asyncio streams: the proxy's server-side request
 codec and its keep-alive client pool toward the backend.
 
-Server side: request line, headers, ``Content-Length`` bodies, keep-alive,
-``Connection: close`` and HTTP/1.0. Bodies framed any other way are
-refused (RFC 9112 §6.3). Each reply is encoded as one buffer, so it leaves
-in a single send. Client side: ``Content-Length``, chunked and
-read-until-close response bodies.
+Server side: request line, headers, ``Content-Length`` bodies up to
+``MAX_BODY_BYTES``, keep-alive, ``Connection: close`` and HTTP/1.0. Bodies
+framed any other way are refused (RFC 9112 §6.3). Each reply is encoded as
+one buffer, so it leaves in a single send. Client side: ``Content-Length``,
+chunked and read-until-close response bodies.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional
 from urllib.parse import urlsplit
 
 MAX_HEADER_BYTES = 64 * 1024  # request line plus header block
+MAX_BODY_BYTES = 8 * 1024 * 1024  # a request body is read whole into memory
 _CRLF2 = b"\r\n\r\n"
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 
@@ -83,7 +84,11 @@ async def read_request(reader: asyncio.StreamReader,
     length = headers.get(b"content-length", b"0")
     if not length.isdigit():  # negative, repeated with a comma, or not a number
         raise BadRequest(400, "invalid Content-Length")
-    length = int(length)
+    digits = length.lstrip(b"0") or b"0"
+    # int() refuses numbers over 4300 digits: judge a long one by its length
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        raise BadRequest(413, "request body too large")
+    length = int(digits)
     if length and headers.get(b"expect", b"").lower() == b"100-continue":
         writer.write(_CONTINUE)
     body = await reader.readexactly(length) if length else b""

@@ -134,7 +134,6 @@ class MetricsCollector:
         self.delivered = 0
         self.duplicate_deliveries = 0
         self.dropped_disconnects = 0
-        self.bypassed = 0
         self.faults = 0
 
     def record_connection_attempt(self) -> None:
@@ -225,7 +224,6 @@ class MetricsCollector:
                 "delivered": self.delivered,
                 "duplicate_deliveries": self.duplicate_deliveries,
                 "dropped_disconnects": self.dropped_disconnects,
-                "bypassed": self.bypassed,
                 "faults": self.faults,
                 "gate_mode": self.gate_mode,
                 "response_time_mean_ms": self.global_response_hist.mean(),

@@ -20,7 +20,7 @@ import logging
 import socket
 import threading
 import time
-from collections import Counter, deque
+from collections import deque
 from itertools import count
 from typing import Optional
 
@@ -58,7 +58,6 @@ class SemProxy:
                 cache_ttl_ms=cfg.cache_ttl_ms,
                 cache_capacity=cfg.cache_capacity,
                 min_group_size=cfg.min_group_size,
-                compress_threshold_nodes=cfg.compress_threshold_nodes,
             ),
             denylist=cfg.operation_denylist,
         )
@@ -66,7 +65,6 @@ class SemProxy:
             enter_threshold=cfg.gate_enter,
             exit_threshold=cfg.gate_exit,
             alpha=cfg.gate_alpha,
-            window=cfg.gate_window,
             overhead_budget_pct=cfg.overhead_budget_pct,
         ))
         self.backend = http11.BackendPool(
@@ -288,7 +286,7 @@ class SemProxy:
         forced = self.config.force_mode
         if forced:
             return GateMode.SEM if forced == "sem" else GateMode.PASSTHROUGH
-        if self.gate._observations == 0:
+        if self.gate.observations == 0:
             return self.gate.mode
         return self.gate.decide().mode
 
@@ -324,26 +322,18 @@ class SemProxy:
 
     def _measure_only(self, batch: WindowBatch) -> DedupResult:
         """Passthrough mode: still measure the duplicate ratio (the gate
-        needs it to re-enter coalescing) but forward every request as-is."""
-        seqs = Counter()
-        sequences = {}
-        for req in batch.requests:
-            try:
-                seq = soap.build_parameter_sequence(req)
-            except soap.SeparatorInValue:
-                seq = None
-            sequences[req.request_id] = seq
-            if seq is not None:
-                seqs[seq] += 1
-        size = len(batch.requests)
-        distinct = len(seqs) + sum(1 for s in sequences.values() if s is None)
+        needs it to re-enter coalescing) but forward every request as-is.
+        Keys come from the same ``Deduplicator.key`` as sem mode, so a
+        request sem mode would never group counts as distinct here too."""
+        keys = [self.deduper.key(req) for req in batch.requests]
+        size = len(keys)
+        distinct = len(set(keys) - {None}) + keys.count(None)
         return DedupResult(
             batch_id=batch.batch_id,
             representatives=list(batch.requests),
             groups={r.request_id: [] for r in batch.requests},
             duplicate_ratio=(size - distinct) / size if size else 0.0,
             cache_hits=[],
-            sequences=sequences,
         )
 
     # ------------------------------------------------------ forward + fan-out

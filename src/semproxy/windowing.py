@@ -9,7 +9,6 @@ at collector start; wall-clock time is never used.
 from __future__ import annotations
 
 import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,10 +33,10 @@ class WindowBatch:
 class WindowCollector:
     """Collects requests into contiguous window batches.
 
-    Thread-safe: admit may be called from many connection handlers; flush
-    runs on a single timer context. Closed batches go to ``out_queue``;
-    when it is full, the incoming request overflows so the caller can
-    bypass the optimizer instead of dropping.
+    Not thread-safe: admit and flush run on one thread (the proxy's event
+    loop). Closed batches go to ``out_queue``; when it is full, the
+    incoming request overflows so the caller can bypass the optimizer
+    instead of dropping.
     """
 
     def __init__(
@@ -52,13 +51,11 @@ class WindowCollector:
         self.window_ns = window_ns
         self.max_batch_size = max_batch_size
         self.out_queue: "queue.Queue[WindowBatch]" = queue.Queue(maxsize=queue_depth)
-        self._lock = threading.Lock()
         self._next_batch_id = 0
         self._epoch = start_ns if start_ns is not None else time.monotonic_ns()
         self._win_start = self._epoch
         self._win_end = self._epoch + window_ns
         self._pending: list[SoapRequest] = []
-        self.admitted = 0
         self.overflowed = 0
         self.flushed_batches = 0
 
@@ -66,7 +63,7 @@ class WindowCollector:
         k = (now - self._epoch) // self.window_ns + 1
         return self._epoch + k * self.window_ns
 
-    def _emit_locked(self, close_at: int, block: bool) -> bool:
+    def _emit(self, close_at: int, block: bool) -> bool:
         """Close the open window at close_at; returns False if queue full."""
         if self._pending:
             batch = WindowBatch(
@@ -86,11 +83,11 @@ class WindowCollector:
         self._win_end = self._aligned_end(close_at)
         return True
 
-    def _roll_locked(self, now: int, block: bool) -> bool:
+    def _roll(self, now: int, block: bool) -> bool:
         if now < self._win_end:
             return True
         if self._pending:
-            if not self._emit_locked(self._win_end, block):
+            if not self._emit(self._win_end, block):
                 return False
         # fast-forward over any empty windows up to the slot containing now
         if now >= self._win_end:
@@ -99,23 +96,20 @@ class WindowCollector:
         return True
 
     def admit(self, req: SoapRequest, now: int) -> AdmitResult:
-        with self._lock:
-            self._roll_locked(now, block=False)
-            if len(self._pending) >= self.max_batch_size:
-                # forced early flush; new request opens the next window
-                if not self._emit_locked(now, block=False):
-                    self.overflowed += 1
-                    return AdmitResult.OVERFLOWED
-            self._pending.append(req)
-            self.admitted += 1
-            return AdmitResult.ACCEPTED
+        self._roll(now, block=False)
+        if len(self._pending) >= self.max_batch_size:
+            # forced early flush; new request opens the next window
+            if not self._emit(now, block=False):
+                self.overflowed += 1
+                return AdmitResult.OVERFLOWED
+        self._pending.append(req)
+        return AdmitResult.ACCEPTED
 
     @property
     def open_window_end(self) -> Optional[int]:
         """End (monotonic ns) of the window that holds admitted requests not
         yet flushed; None while no request waits."""
-        with self._lock:
-            return self._win_end if self._pending else None
+        return self._win_end if self._pending else None
 
     def flush(self, now: int) -> None:
         """Timer entry point: close every window that ended at or before now.
@@ -123,5 +117,4 @@ class WindowCollector:
         Blocks on a full downstream queue (backpressure on the caller that
         owns the timer).
         """
-        with self._lock:
-            self._roll_locked(now, block=True)
+        self._roll(now, block=True)

@@ -142,15 +142,36 @@ class TestResponseCache:
         assert c.evict_expired(now=500) == 1
         assert len(c) == 0
 
-    def test_compaction_rebuilds_trie(self):
-        c = ResponseCache(capacity=1000, ttl_ns=10_000,
-                          compress_threshold_nodes=20)
-        for i in range(30):
-            c.store(f"key-number-{i:04d}".encode(), b"r", now=0)
-        assert c._trie.node_count < 1000
-        assert c.compressed_node_count is not None
-        for i in range(30):
-            assert c.lookup(f"key-number-{i:04d}".encode(), now=1) == b"r"
+    def test_eviction_matches_naive_model_randomized(self):
+        # model: a dict of seq -> [bytes, stored_at, last_hit]; when full,
+        # the least-recently-hit entry goes; a re-store keeps its place
+        rng = random.Random(17)
+        for _ in range(200):
+            capacity = rng.randint(1, 8)
+            ttl = rng.randint(5, 200)
+            c = ResponseCache(capacity=capacity, ttl_ns=ttl)
+            model = {}
+            now = 0
+            for _ in range(300):
+                now += rng.randint(1, 10)
+                seq = f"k{rng.randint(0, 12)}".encode()
+                if rng.random() < 0.4:
+                    resp = b"r%d" % now
+                    c.store(seq, resp, now)
+                    if seq in model:
+                        model[seq][:2] = [resp, now]
+                    else:
+                        if len(model) >= capacity:
+                            del model[min(model, key=lambda k: model[k][2])]
+                        model[seq] = [resp, now, now]
+                else:
+                    entry = model.get(seq)
+                    want = None
+                    if entry is not None and now < entry[1] + ttl:
+                        want = entry[0]
+                        entry[2] = now
+                    assert c.lookup(seq, now) == want
+                assert len(c) <= capacity
 
     def test_cache_never_serves_expired_randomized(self):
         rng = random.Random(9)

@@ -63,6 +63,15 @@ def test_chunked_body_gets_411_and_close(proxy):
     assert exchange(proxy, data).startswith(b"HTTP/1.1 411 ")
 
 
+@pytest.mark.parametrize("length", [str(http11.MAX_BODY_BYTES + 1).encode(),
+                                    b"9" * 5000])
+def test_oversized_body_gets_413_before_it_is_read(proxy, length):
+    # no body follows: the cap is applied to the declared length alone
+    data = b"POST / HTTP/1.1\r\nHost: proxy\r\nContent-Length: " + length + b"\r\n\r\n"
+    assert exchange(proxy, data).startswith(b"HTTP/1.1 413 ")
+    assert proxy.health()["admitted"] == 0
+
+
 @pytest.mark.parametrize("partial", [
     b"POST / HTTP/1.1\r\nHost: pro",                            # mid-headers
     b"POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\n<soap:Env",  # mid-body

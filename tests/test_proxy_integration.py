@@ -151,6 +151,21 @@ class TestCoalescing:
                 assert {s for s, _ in results} == {200}
                 assert backend_calls(backend) == 12
 
+    def test_denylisted_operation_measures_as_distinct_in_passthrough(
+            self, fast_backend):
+        # both modes take the grouping key from one place, so the gate
+        # sees no duplicates in a stream it may never coalesce
+        cfg = ProxyConfig(window_ms=30, operation_denylist=["Search"])
+        with running_proxy(fast_backend, cfg) as proxy:
+            body = soap.build_request_envelope("Search", ["same"])
+            for _ in range(8):
+                results = concurrent_post(url_of(proxy), [body] * 8, workers=8)
+                assert {s for s, _ in results} == {200}
+                time.sleep(0.05)
+            assert proxy.gate.ratio_ewma == 0.0
+            assert proxy_health(proxy)["gate_mode"] == "passthrough"
+            assert_exactly_once(proxy)
+
 
 class TestResponseCache:
     def test_cache_hit_skips_backend(self, fast_backend):
