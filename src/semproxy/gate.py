@@ -62,11 +62,6 @@ class AdaptiveGate:
         return self._ratio_ewma
 
     @property
-    def observations(self) -> int:
-        """Batches observed so far; ``decide`` needs at least one."""
-        return self._observations
-
-    @property
     def mode(self) -> GateMode:
         return self._mode
 

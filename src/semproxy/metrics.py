@@ -9,7 +9,6 @@ mode, and cache hit rate. Response times go into a fixed-bucket histogram:
 from __future__ import annotations
 
 import csv
-import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import IO, Iterable, Optional
@@ -112,11 +111,13 @@ class _IntervalState:
 
 
 class MetricsCollector:
-    """Thread-safe accumulator with interval snapshots and global totals."""
+    """Accumulator with interval snapshots and global totals.
+
+    Not thread-safe: the proxy calls it from its event-loop thread only.
+    """
 
     def __init__(self, clock=None):
         self.clock = clock or time.monotonic
-        self._lock = threading.Lock()
         self._interval = _IntervalState(start=self.clock())
         self.gate_mode = "sem"
         # global totals (never reset)
@@ -137,100 +138,90 @@ class MetricsCollector:
         self.faults = 0
 
     def record_connection_attempt(self) -> None:
-        with self._lock:
-            self._interval.connection_attempts += 1
-            self.total_connection_attempts += 1
+        self._interval.connection_attempts += 1
+        self.total_connection_attempts += 1
 
     def record_request(self, body_bytes: int) -> None:
-        with self._lock:
-            self._interval.requests += 1
-            self._interval.bytes_received += body_bytes
-            self.total_requests += 1
-            self.total_bytes_received += body_bytes
+        self._interval.requests += 1
+        self._interval.bytes_received += body_bytes
+        self.total_requests += 1
+        self.total_bytes_received += body_bytes
 
     def record_response(self, body_bytes: int, elapsed_ns: int) -> None:
-        with self._lock:
-            self._interval.bytes_sent += body_bytes
-            self.total_bytes_sent += body_bytes
-            self._interval.response_hist.record_ns(elapsed_ns)
-            self.global_response_hist.record_ns(elapsed_ns)
+        self._interval.bytes_sent += body_bytes
+        self.total_bytes_sent += body_bytes
+        self._interval.response_hist.record_ns(elapsed_ns)
+        self.global_response_hist.record_ns(elapsed_ns)
 
     def record_backend_call(self) -> None:
-        with self._lock:
-            self._interval.backend_calls += 1
-            self.total_backend_calls += 1
+        self._interval.backend_calls += 1
+        self.total_backend_calls += 1
 
     def record_batch(self, duplicate_ratio: float) -> None:
-        with self._lock:
-            self._interval.ratio_sum += duplicate_ratio
-            self._interval.ratio_batches += 1
+        self._interval.ratio_sum += duplicate_ratio
+        self._interval.ratio_batches += 1
 
     def record_cache(self, hits: int, misses: int) -> None:
-        with self._lock:
-            self._interval.cache_hits += hits
-            self._interval.cache_misses += misses
-            self.total_cache_hits += hits
-            self.total_cache_misses += misses
+        self._interval.cache_hits += hits
+        self._interval.cache_misses += misses
+        self.total_cache_hits += hits
+        self.total_cache_misses += misses
 
     def record_window_wait(self, ns: int) -> None:
-        with self._lock:
-            self.window_wait_hist.record_ns(ns)
+        self.window_wait_hist.record_ns(ns)
 
     def set_gate_mode(self, mode: str) -> None:
-        with self._lock:
-            self.gate_mode = mode
+        self.gate_mode = mode
 
     def snapshot(self, now: Optional[float] = None) -> MetricsSnapshot:
         """Close the current interval and open the next."""
-        with self._lock:
-            end = now if now is not None else self.clock()
-            iv = self._interval
-            span = max(end - iv.start, 1e-9)
-            hist = iv.response_hist
-            probes = iv.cache_hits + iv.cache_misses
-            snap = MetricsSnapshot(
-                interval_start=iv.start,
-                interval_end=end,
-                bytes_received_per_sec=iv.bytes_received / span,
-                bytes_sent_per_sec=iv.bytes_sent / span,
-                total_bytes_per_sec=(iv.bytes_received + iv.bytes_sent) / span,
-                connection_attempts_per_sec=iv.connection_attempts / span,
-                requests_per_sec=iv.requests / span,
-                backend_calls_per_sec=iv.backend_calls / span,
-                duplicate_ratio_mean=(
-                    iv.ratio_sum / iv.ratio_batches if iv.ratio_batches else 0.0
-                ),
-                response_time_mean_ms=hist.mean(),
-                response_time_p50_ms=hist.percentile(50),
-                response_time_p95_ms=hist.percentile(95),
-                response_time_max_ms=hist.max_ms,
-                gate_mode=self.gate_mode,
-                cache_hit_rate=iv.cache_hits / probes if probes else 0.0,
-            )
-            self._interval = _IntervalState(start=end)
-            return snap
+        end = now if now is not None else self.clock()
+        iv = self._interval
+        span = max(end - iv.start, 1e-9)
+        hist = iv.response_hist
+        probes = iv.cache_hits + iv.cache_misses
+        snap = MetricsSnapshot(
+            interval_start=iv.start,
+            interval_end=end,
+            bytes_received_per_sec=iv.bytes_received / span,
+            bytes_sent_per_sec=iv.bytes_sent / span,
+            total_bytes_per_sec=(iv.bytes_received + iv.bytes_sent) / span,
+            connection_attempts_per_sec=iv.connection_attempts / span,
+            requests_per_sec=iv.requests / span,
+            backend_calls_per_sec=iv.backend_calls / span,
+            duplicate_ratio_mean=(
+                iv.ratio_sum / iv.ratio_batches if iv.ratio_batches else 0.0
+            ),
+            response_time_mean_ms=hist.mean(),
+            response_time_p50_ms=hist.percentile(50),
+            response_time_p95_ms=hist.percentile(95),
+            response_time_max_ms=hist.max_ms,
+            gate_mode=self.gate_mode,
+            cache_hit_rate=iv.cache_hits / probes if probes else 0.0,
+        )
+        self._interval = _IntervalState(start=end)
+        return snap
 
     def counters(self) -> dict:
-        with self._lock:
-            return {
-                "requests": self.total_requests,
-                "backend_calls": self.total_backend_calls,
-                "bytes_received": self.total_bytes_received,
-                "bytes_sent": self.total_bytes_sent,
-                "connection_attempts": self.total_connection_attempts,
-                "cache_hits": self.total_cache_hits,
-                "cache_misses": self.total_cache_misses,
-                "admitted": self.admitted,
-                "delivered": self.delivered,
-                "duplicate_deliveries": self.duplicate_deliveries,
-                "dropped_disconnects": self.dropped_disconnects,
-                "faults": self.faults,
-                "gate_mode": self.gate_mode,
-                "response_time_mean_ms": self.global_response_hist.mean(),
-                "response_time_p95_ms": self.global_response_hist.percentile(95),
-                "window_wait_p95_ms": self.window_wait_hist.percentile(95),
-                "window_wait_mean_ms": self.window_wait_hist.mean(),
-            }
+        return {
+            "requests": self.total_requests,
+            "backend_calls": self.total_backend_calls,
+            "bytes_received": self.total_bytes_received,
+            "bytes_sent": self.total_bytes_sent,
+            "connection_attempts": self.total_connection_attempts,
+            "cache_hits": self.total_cache_hits,
+            "cache_misses": self.total_cache_misses,
+            "admitted": self.admitted,
+            "delivered": self.delivered,
+            "duplicate_deliveries": self.duplicate_deliveries,
+            "dropped_disconnects": self.dropped_disconnects,
+            "faults": self.faults,
+            "gate_mode": self.gate_mode,
+            "response_time_mean_ms": self.global_response_hist.mean(),
+            "response_time_p95_ms": self.global_response_hist.percentile(95),
+            "window_wait_p95_ms": self.window_wait_hist.percentile(95),
+            "window_wait_mean_ms": self.window_wait_hist.mean(),
+        }
 
 
 def export_csv(snapshots: Iterable[MetricsSnapshot], out: IO[str]) -> None:

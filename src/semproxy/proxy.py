@@ -2,14 +2,21 @@
 
 One asyncio event loop on one thread does all the work. Each client
 connection is a task that reads a request, parses it and admits it into the
-window collector, then waits on that request's future. A timer armed with
-``loop.call_at`` only while a window holds requests closes the window at its
-epoch-aligned end; the batch is then grouped (or, in passthrough mode, just
-measured) inline, and one task per batch forwards each representative over
-a bounded pool of keep-alive backend connections. As soon as a group's
-backend call completes, its reply bytes resolve the future of every member.
-A future can be resolved once, so every admitted request receives exactly
-one response.
+window collector. A timer armed with ``loop.call_at`` only while a window
+holds requests closes the window at its epoch-aligned end. Each window runs
+in one mode, set by the gate's decision when the previous window closed; a
+mode can therefore change only at a window boundary.
+
+- Sem mode: the connection task waits on its request's future. When the
+  window closes, its batch is grouped inline, and one task per batch
+  forwards each representative over a bounded pool of keep-alive backend
+  connections. As soon as a group's backend call completes, its reply bytes
+  resolve the future of every member. A future can be resolved once, so
+  every admitted request receives exactly one response.
+- Passthrough mode: the connection task forwards its request at once and
+  writes the backend's reply. The window only measures: when it closes,
+  the duplicate ratio of its keys goes to the gate, which needs it to
+  re-enter sem mode, and nothing is forwarded.
 """
 
 from __future__ import annotations
@@ -67,6 +74,10 @@ class SemProxy:
             alpha=cfg.gate_alpha,
             overhead_budget_pct=cfg.overhead_budget_pct,
         ))
+        forced = cfg.force_mode
+        self._forced_mode = None if not forced else (
+            GateMode.SEM if forced == "sem" else GateMode.PASSTHROUGH)
+        self.metrics.set_gate_mode(self._mode().value)
         self.backend = http11.BackendPool(
             cfg.backend_url, cfg.max_connections,
             cfg.connect_timeout_s, cfg.request_timeout_s)
@@ -117,6 +128,17 @@ class SemProxy:
             export_csv_path(list(self.snapshots), metrics_csv)
 
     def health(self) -> dict:
+        """The counters served at ``/_sem/health``. Metrics are kept on the
+        loop thread; a call from any other thread is run there."""
+        if (self._loop.is_running()
+                and threading.current_thread() is not self._thread):
+            async def read() -> dict:
+                return self._health()
+            done = asyncio.run_coroutine_threadsafe(read(), self._loop)
+            return done.result()
+        return self._health()
+
+    def _health(self) -> dict:
         data = self.metrics.counters()
         data["cache_entries"] = (
             len(self.deduper.cache) if self.deduper.cache is not None else 0)
@@ -221,7 +243,7 @@ class SemProxy:
             return 501, soap.build_fault("Client", "method not supported"), _XML
         if request.target != HEALTH_PATH:
             return 404, soap.build_fault("Client", "not found"), _XML
-        return 200, json.dumps(self.health()).encode(), _JSON
+        return 200, json.dumps(self._health()).encode(), _JSON
 
     async def _handle_soap(self, raw: bytes,
                            arrival: int) -> tuple[int, bytes, bool]:
@@ -236,13 +258,19 @@ class SemProxy:
             self.metrics.faults += 1
             return 400, soap.build_fault(
                 "Client", f"{type(exc).__name__}: {exc}"), False
+        self.metrics.admitted += 1
+        # admit closes every window that has ended, and _drain_batches
+        # processes it, which sets the mode of the window req is in. That
+        # window stays open until a later call, so req's future can be
+        # made after it.
+        self.collector.admit(req, time.monotonic_ns())
+        self._drain_batches()
+        self._arm_window_timer()
+        if self._mode() is GateMode.PASSTHROUGH:
+            return await self._pass_through(req)
         future = self._loop.create_future()
         self._in_flight[rid] = future
-        self.metrics.admitted += 1
         try:
-            self.collector.admit(req, time.monotonic_ns())
-            self._drain_batches()
-            self._arm_window_timer()
             async with asyncio.timeout(self._pipeline_timeout_s):
                 status, body = await future
             return status, body, True
@@ -252,6 +280,22 @@ class SemProxy:
             return 504, _TIMEOUT_FAULT, False
         finally:
             del self._in_flight[rid]
+
+    async def _pass_through(
+            self, req: soap.SoapRequest) -> tuple[int, bytes, bool]:
+        """Forward one request at once; its window only counts its key."""
+        self.metrics.record_window_wait(0)
+        try:
+            async with asyncio.timeout(self._pipeline_timeout_s):
+                status, body = await self._call_backend(req)
+        except TimeoutError:
+            self.metrics.faults += 1
+            return 504, _TIMEOUT_FAULT, True
+        except Exception:
+            log.exception("forwarding request %d failed", req.request_id)
+            self.stage_failures += 1
+            return 500, _STAGE_FAULT, True
+        return status, body, True
 
     # -------------------------------------------------------------- windowing
 
@@ -273,42 +317,49 @@ class SemProxy:
         out = self.collector.out_queue
         while not out.empty():
             batch = out.get_nowait()
+            mode = self._mode()
             try:
-                self._process_batch(batch)
+                self._process_batch(batch, mode)
             except Exception:
                 log.exception("batch %d failed", batch.batch_id)
                 self.stage_failures += 1
-                self._fail([r.request_id for r in batch.requests])
+                if mode is GateMode.SEM:
+                    # passthrough requests were forwarded at admission and
+                    # may have been answered already
+                    self._fail([r.request_id for r in batch.requests])
 
     # ------------------------------------------------------------ batch stage
 
-    def _current_mode(self) -> GateMode:
-        forced = self.config.force_mode
-        if forced:
-            return GateMode.SEM if forced == "sem" else GateMode.PASSTHROUGH
-        if self.gate.observations == 0:
-            return self.gate.mode
-        return self.gate.decide().mode
+    def _mode(self) -> GateMode:
+        """Mode of the open window: the forced one, else the gate's
+        decision when the previous window closed."""
+        return self._forced_mode or self.gate.mode
 
-    def _process_batch(self, batch: WindowBatch) -> None:
-        pull = time.monotonic_ns()
-        for req in batch.requests:
-            self.metrics.record_window_wait(pull - req.arrival_time)
-        mode = self._current_mode()
-        self.metrics.set_gate_mode(mode.value)
+    def _process_batch(self, batch: WindowBatch, mode: GateMode) -> None:
+        """Group (sem) or measure (passthrough) one closed window, feed its
+        duplicate ratio to the gate, and set the next window's mode."""
+        if mode is GateMode.SEM:
+            pull = time.monotonic_ns()
+            for req in batch.requests:
+                self.metrics.record_window_wait(pull - req.arrival_time)
         t0 = time.monotonic_ns()
         if mode is GateMode.SEM:
             result = self.deduper.dedup(batch)
+            ratio = result.duplicate_ratio
         else:
-            result = self._measure_only(batch)
+            ratio = self._measure_only(batch)
         analysis_ns = time.monotonic_ns() - t0
         self.gate.observe(GateObservation(
             batch_id=batch.batch_id,
-            duplicate_ratio=result.duplicate_ratio,
+            duplicate_ratio=ratio,
             analysis_cost_ns=analysis_ns,
             batch_size=len(batch.requests),
         ))
-        self.metrics.record_batch(result.duplicate_ratio)
+        if self._forced_mode is None:
+            self.metrics.set_gate_mode(self.gate.decide().mode.value)
+        self.metrics.record_batch(ratio)
+        if mode is GateMode.PASSTHROUGH:
+            return
         if self.deduper.cache is not None:
             self.metrics.record_cache(
                 hits=len(result.cache_hits),
@@ -316,25 +367,19 @@ class SemProxy:
         for rid, cached in result.cache_hits:
             self._deliver(rid, 200, cached)
         if result.representatives:
-            task = self._loop.create_task(self._forward_batch(result, mode))
+            task = self._loop.create_task(self._forward_batch(result))
             self._batch_tasks.add(task)
             task.add_done_callback(self._batch_tasks.discard)
 
-    def _measure_only(self, batch: WindowBatch) -> DedupResult:
-        """Passthrough mode: still measure the duplicate ratio (the gate
-        needs it to re-enter coalescing) but forward every request as-is.
-        Keys come from the same ``Deduplicator.key`` as sem mode, so a
-        request sem mode would never group counts as distinct here too."""
+    def _measure_only(self, batch: WindowBatch) -> float:
+        """Passthrough mode: the window's duplicate ratio, which the gate
+        needs to re-enter coalescing. Keys come from the same
+        ``Deduplicator.key`` as sem mode, so a request sem mode would never
+        group counts as distinct here too."""
         keys = [self.deduper.key(req) for req in batch.requests]
         size = len(keys)
         distinct = len(set(keys) - {None}) + keys.count(None)
-        return DedupResult(
-            batch_id=batch.batch_id,
-            representatives=list(batch.requests),
-            groups={r.request_id: [] for r in batch.requests},
-            duplicate_ratio=(size - distinct) / size if size else 0.0,
-            cache_hits=[],
-        )
+        return (size - distinct) / size if size else 0.0
 
     # ------------------------------------------------------ forward + fan-out
 
@@ -351,7 +396,7 @@ class SemProxy:
         self.gate.note_service_time(time.monotonic_ns() - t0)
         return status, body
 
-    async def _forward_batch(self, result: DedupResult, mode: GateMode) -> None:
+    async def _forward_batch(self, result: DedupResult) -> None:
         """Forward each representative; fan out each group's reply as soon
         as its own call completes."""
         responses: dict[int, bytes] = {}
@@ -375,7 +420,7 @@ class SemProxy:
             await forward_group(reps[0])
         else:
             await asyncio.gather(*(forward_group(rep) for rep in reps))
-        if mode is GateMode.SEM and self.deduper.cache is not None:
+        if self.deduper.cache is not None:
             try:
                 self.deduper.cache_store(result, responses)
             except Exception:

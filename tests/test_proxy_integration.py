@@ -220,6 +220,64 @@ class TestGateIntegration:
             assert sorted(seen) == sorted(bodies)
             assert proxy_health(proxy)["gate_mode"] == "passthrough"
 
+    def test_passthrough_request_never_waits_for_a_window(self, fast_backend):
+        cfg = ProxyConfig(window_ms=500, force_mode="passthrough")
+        with running_proxy(fast_backend, cfg) as proxy:
+            with requests.Session() as s:
+                for i in range(5):
+                    body = soap.build_request_envelope("Search", [f"w{i}"])
+                    t0 = time.monotonic()
+                    resp = s.post(url_of(proxy), data=body, timeout=10)
+                    assert time.monotonic() - t0 < 0.1
+                    assert resp.status_code == 200
+            # 0.05 ms is the upper edge of the histogram's first bucket
+            assert proxy_health(proxy)["window_wait_p95_ms"] <= 0.05
+            assert_exactly_once(proxy)
+
+    def test_hot_stream_re_enters_sem_within_three_windows(self, fast_backend):
+        cfg = ProxyConfig(window_ms=30, gate_alpha=0.5)
+        window_s = cfg.window_ms / 1000
+
+        def burst(bodies):
+            """Send bodies on open keep-alive connections just after a
+            window starts, so they all land in that window; return once
+            the window has closed."""
+            epoch, period = proxy.collector._epoch, proxy.collector.window_ns
+            now = time.monotonic_ns()
+            time.sleep((period - (now - epoch) % period) / 1e9 + 0.002)
+            for conn, body in zip(conns, bodies):
+                conn.request("POST", "/", body,
+                             {"Content-Type": "text/xml; charset=utf-8"})
+            for conn in conns:
+                resp = conn.getresponse()
+                assert resp.status == 200
+                resp.read()
+            time.sleep(window_s)
+
+        with running_proxy(fast_backend, cfg) as proxy:
+            conns = [http.client.HTTPConnection(*proxy.address, timeout=10)
+                     for _ in range(10)]
+            try:
+                for i in range(20):
+                    if proxy_health(proxy)["gate_mode"] == "passthrough":
+                        break
+                    burst([soap.build_request_envelope("Search", [f"c{i}-{j}"])
+                           for j in range(10)])
+                assert proxy_health(proxy)["gate_mode"] == "passthrough"
+                hot = [soap.build_request_envelope("Search", ["hot"])] * 10
+                for _ in range(3):
+                    burst(hot)
+                    if proxy_health(proxy)["gate_mode"] == "sem":
+                        break
+                assert proxy_health(proxy)["gate_mode"] == "sem"
+                calls = backend_calls(fast_backend)
+                burst(hot)
+                assert backend_calls(fast_backend) == calls + 1
+                assert_exactly_once(proxy)
+            finally:
+                for conn in conns:
+                    conn.close()
+
     def test_adaptive_gate_switches_modes(self, fast_backend):
         cfg = ProxyConfig(window_ms=30, gate_alpha=0.5)
         with running_proxy(fast_backend, cfg) as proxy:
@@ -311,6 +369,32 @@ class TestDeliveryState:
             assert health["in_flight"] == 0
             assert_exactly_once(proxy)
         assert backend_calls(fast_backend) == 0
+
+    @pytest.mark.parametrize("stage,status", [("backend.post", 500),
+                                              ("deduper.key", 200)])
+    def test_stage_exception_in_passthrough(self, fast_backend, stage, status):
+        # a failed forward faults only its own client; a failed measurement
+        # of a window faults nobody, as its requests were already forwarded
+        def broken(*args):
+            raise RuntimeError("injected stage failure")
+
+        cfg = ProxyConfig(window_ms=20, force_mode="passthrough")
+        with running_proxy(fast_backend, cfg) as proxy:
+            owner, name = stage.split(".")
+            setattr(getattr(proxy, owner), name, broken)
+            bodies = ([soap.build_request_envelope("Search", ["dup"])] * 6
+                      + [soap.build_request_envelope("Search", [f"u{i}"])
+                         for i in range(4)])
+            t0 = time.monotonic()
+            results = concurrent_post(url_of(proxy), bodies)
+            assert time.monotonic() - t0 < 1.0
+            assert {s for s, _ in results} == {status}
+            deadline = time.monotonic() + 1.0
+            while proxy_health(proxy)["stage_failures"] == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert proxy_health(proxy)["in_flight"] == 0
+            assert_exactly_once(proxy)
 
     def test_stop_answers_in_flight_and_closes_connections(self, fast_backend):
         from semproxy import proxy as px
