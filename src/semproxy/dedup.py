@@ -18,6 +18,14 @@ from .soap import SeparatorInValue, SoapRequest, build_parameter_sequence
 from .windowing import WindowBatch
 
 
+def duplicate_ratio(keys: list[Optional[bytes]]) -> float:
+    """Share of keys that repeat an earlier key; a None key never repeats."""
+    if not keys:
+        return 0.0
+    distinct = len(set(keys) - {None}) + keys.count(None)
+    return (len(keys) - distinct) / len(keys)
+
+
 @dataclass
 class DedupResult:
     batch_id: int
@@ -138,13 +146,11 @@ class Deduplicator:
                     continue
             representatives.append(req)
             groups[rid] = []
-        size = len(batch.requests)
-        ratio = (size - len(representatives) - len(cache_hits)) / size if size else 0.0
         return DedupResult(
             batch_id=batch.batch_id,
             representatives=representatives,
             groups=groups,
-            duplicate_ratio=ratio,
+            duplicate_ratio=duplicate_ratio(list(sequences.values())),
             cache_hits=cache_hits,
             sequences=sequences,
         )

@@ -116,6 +116,11 @@ class BadResponse(Exception):
     """The backend's reply is not HTTP/1.x that this codec can frame."""
 
 
+# what BackendPool.post raises when a call fails
+POST_ERRORS = (OSError, TimeoutError, asyncio.IncompleteReadError,
+               asyncio.LimitOverrunError, BadResponse)
+
+
 async def _read_chunked(reader: asyncio.StreamReader) -> bytes:
     chunks = []
     while True:
@@ -187,8 +192,7 @@ class BackendPool:
             return await asyncio.open_connection(self.host, self.port)
 
     async def post(self, body: bytes, soap_action: bytes) -> tuple[int, bytes]:
-        """POST a SOAP envelope; raises OSError, TimeoutError,
-        ``IncompleteReadError``, ``LimitOverrunError`` or BadResponse."""
+        """POST a SOAP envelope; a failed call raises one of ``POST_ERRORS``."""
         async with self._slots:
             reader, writer = await self._connection()
             try:

@@ -1,4 +1,11 @@
-"""Load generator: concurrent (open-loop schedule) and serial scenarios.
+"""Load generator: an open-loop schedule over concurrent keep-alive clients.
+
+``run_scenario`` sends ``rate * duration_s`` requests. Request i is due
+``i / rate`` seconds after the start and is sent then, or as soon as one of
+the ``clients`` connections is free if it is late. The clients are tasks on
+one asyncio loop sharing one ``http11.BackendPool``, the keep-alive client
+the proxy uses toward its backend; ``clients=1`` sends the requests one
+after another.
 
 Requests are reproducible: the parameter tuple for index i depends only on
 (seed, i). Similarity is modelled as one hot tuple drawn with probability
@@ -7,25 +14,21 @@ similarity_pct/100, every other draw being a globally unique cold tuple.
 
 from __future__ import annotations
 
+import asyncio
 import csv
-import queue
 import random
 import string
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-import requests
-
-from . import soap
+from . import http11, soap
 
 _CHARS = string.ascii_lowercase + string.digits
 
 
 @dataclass
 class ScenarioConfig:
-    mode: str = "concurrent"  # "concurrent" | "serial"
     rate: float = 100.0  # requests/sec
     clients: int = 8
     duration_s: float = 5.0
@@ -41,8 +44,8 @@ class ScenarioConfig:
             raise ValueError("similarity_pct must be in [0, 100]")
         if self.rate < 0:
             raise ValueError("rate must be >= 0")
-        if self.mode not in ("concurrent", "serial"):
-            raise ValueError(f"unknown mode: {self.mode}")
+        if self.clients < 1:
+            raise ValueError("clients must be >= 1")
 
 
 @dataclass
@@ -57,7 +60,6 @@ class RunReport:
     achieved_rps: float = 0.0
     per_second: list[int] = field(default_factory=list)
     latencies_ms: list[float] = field(default_factory=list)
-    body_hashes: dict[int, str] = field(default_factory=dict)
 
 
 def _rand_token(rng: random.Random, length: int) -> str:
@@ -101,82 +103,51 @@ def _aggregate(report: RunReport, wall_s: float) -> None:
     report.achieved_rps = report.succeeded / wall_s if wall_s > 0 else 0.0
 
 
-def run_scenario(cfg: ScenarioConfig, target_url: str,
-                 collect_hashes: bool = False) -> RunReport:
+def run_scenario(cfg: ScenarioConfig, target_url: str) -> RunReport:
     total = int(cfg.rate * cfg.duration_s)
     report = RunReport()
     if total == 0:
         return report
     report.per_second = [0] * (int(cfg.duration_s) + 1)
-    lock = threading.Lock()
+    asyncio.run(_run(cfg, target_url, total, report))
+    return report
+
+
+async def _run(cfg: ScenarioConfig, target_url: str, total: int,
+               report: RunReport) -> None:
+    pool = http11.BackendPool(target_url, cfg.clients, cfg.request_timeout_s,
+                              cfg.request_timeout_s)
+    action = cfg.operation.encode()
+    indices = iter(range(total))  # shared: each client takes the next index
     start = time.monotonic()
 
-    def one_call(session: requests.Session, i: int) -> None:
-        body = generate_request(cfg, i)
-        t0 = time.monotonic()
-        try:
-            resp = session.post(
-                target_url, data=body,
-                headers={"Content-Type": "text/xml; charset=utf-8",
-                         "SOAPAction": f'"{cfg.operation}"'},
-                timeout=cfg.request_timeout_s)
-            ok = resp.status_code == 200
-            content = resp.content
-        except requests.RequestException:
-            ok = False
-            content = b""
-        t1 = time.monotonic()
-        with lock:
+    async def client() -> None:
+        for i in indices:
+            delay = start + i / cfg.rate - time.monotonic()
+            if delay > 0:
+                await asyncio.sleep(delay)
+            body = generate_request(cfg, i)
+            t0 = time.monotonic()
+            try:
+                status, _ = await pool.post(body, action)
+            except http11.POST_ERRORS:
+                status = None
+            t1 = time.monotonic()
             report.sent += 1
-            if ok:
+            if status == 200:
                 report.succeeded += 1
                 report.latencies_ms.append((t1 - t0) * 1000.0)
                 sec = int(t1 - start)
                 if sec < len(report.per_second):
                     report.per_second[sec] += 1
-                if collect_hashes:
-                    import hashlib
-                    report.body_hashes[i] = hashlib.sha256(content).hexdigest()
             else:
                 report.failed += 1
 
-    if cfg.mode == "serial":
-        session = requests.Session()
-        for i in range(total):
-            target_t = start + i / cfg.rate
-            delay = target_t - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            one_call(session, i)
-        session.close()
-    else:
-        work: "queue.Queue[int]" = queue.Queue()
-        for i in range(total):
-            work.put(i)
-
-        def worker():
-            session = requests.Session()
-            while True:
-                try:
-                    i = work.get_nowait()
-                except queue.Empty:
-                    break
-                # open-loop schedule: send at its slot, or immediately if late
-                target_t = start + i / cfg.rate
-                delay = target_t - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                one_call(session, i)
-            session.close()
-
-        threads = [threading.Thread(target=worker, daemon=True)
-                   for _ in range(cfg.clients)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    try:
+        await asyncio.gather(*(client() for _ in range(cfg.clients)))
+    finally:
+        await pool.close()
     _aggregate(report, time.monotonic() - start)
-    return report
 
 
 REPORT_CSV_COLUMNS = [

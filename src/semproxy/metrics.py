@@ -65,13 +65,6 @@ class LatencyHistogram:
                 return _EDGES_MS[i] if i < len(_EDGES_MS) else self.max_ms
         return self.max_ms
 
-    def merge_into(self, other: "LatencyHistogram") -> None:
-        for i, c in enumerate(self.counts):
-            other.counts[i] += c
-        other.total += self.total
-        other.sum_ms += self.sum_ms
-        other.max_ms = max(other.max_ms, self.max_ms)
-
 
 @dataclass
 class MetricsSnapshot:

@@ -33,7 +33,7 @@ from typing import Optional
 
 from . import http11, soap
 from .config import ProxyConfig
-from .dedup import DedupConfig, DedupResult, Deduplicator
+from .dedup import DedupConfig, DedupResult, Deduplicator, duplicate_ratio
 from .gate import AdaptiveGate, GateConfig, GateMode, GateObservation
 from .metrics import MetricsCollector, export_csv_path
 from .windowing import WindowBatch, WindowCollector
@@ -346,8 +346,9 @@ class SemProxy:
         if mode is GateMode.SEM:
             result = self.deduper.dedup(batch)
             ratio = result.duplicate_ratio
-        else:
-            ratio = self._measure_only(batch)
+        else:  # the same ratio as sem mode, so the gate can re-enter it
+            ratio = duplicate_ratio(
+                [self.deduper.key(req) for req in batch.requests])
         analysis_ns = time.monotonic_ns() - t0
         self.gate.observe(GateObservation(
             batch_id=batch.batch_id,
@@ -371,16 +372,6 @@ class SemProxy:
             self._batch_tasks.add(task)
             task.add_done_callback(self._batch_tasks.discard)
 
-    def _measure_only(self, batch: WindowBatch) -> float:
-        """Passthrough mode: the window's duplicate ratio, which the gate
-        needs to re-enter coalescing. Keys come from the same
-        ``Deduplicator.key`` as sem mode, so a request sem mode would never
-        group counts as distinct here too."""
-        keys = [self.deduper.key(req) for req in batch.requests]
-        size = len(keys)
-        distinct = len(set(keys) - {None}) + keys.count(None)
-        return (size - distinct) / size if size else 0.0
-
     # ------------------------------------------------------ forward + fan-out
 
     async def _call_backend(self, req: soap.SoapRequest) -> tuple[int, bytes]:
@@ -389,8 +380,7 @@ class SemProxy:
         try:
             status, body = await self.backend.post(
                 req.raw_envelope, req.operation.encode())
-        except (OSError, TimeoutError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError, http11.BadResponse) as exc:
+        except http11.POST_ERRORS as exc:
             return 502, soap.build_fault(
                 "Server.Unavailable", f"backend error: {type(exc).__name__}")
         self.gate.note_service_time(time.monotonic_ns() - t0)

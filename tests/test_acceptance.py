@@ -3,7 +3,7 @@
 Run with -s to see the per-criterion lines as they pass.
 """
 
-import concurrent.futures as cf
+import asyncio
 import hashlib
 import random
 import string
@@ -14,7 +14,7 @@ import requests
 
 from conftest import (proxy_health, reset_backend, running_backend,
                       running_proxy, url_of)
-from semproxy import soap
+from semproxy import http11, soap
 from semproxy.config import ProxyConfig
 from semproxy.dedup import Deduplicator
 from semproxy.gate import AdaptiveGate, GateMode, GateObservation
@@ -118,29 +118,23 @@ def test_criterion_2_trie_property_suite():
     report(2, f"{cases} generated cases, 0 failures")
 
 
-def _concurrent_bodies(url, bodies, barrier=False):
-    import threading
-    gate = threading.Barrier(len(bodies) + 1) if barrier else None
-
-    def call(body):
-        if gate is not None:
-            gate.wait(timeout=120)
-        with requests.Session() as s:
-            r = s.post(url, data=body, timeout=120)
-            return r.status_code, r.content
-    with cf.ThreadPoolExecutor(len(bodies)) as ex:
-        futures = [ex.submit(call, b) for b in bodies]
-        if gate is not None:
-            # every client thread exists before any request is sent, so all
-            # arrivals land well inside one window
-            gate.wait(timeout=120)
-        return [f.result() for f in futures]
+def _concurrent_bodies(url, bodies):
+    """POST all bodies at once, each on its own keep-alive connection;
+    return (status, body) per request."""
+    async def post_all():
+        pool = http11.BackendPool(url, len(bodies), 120, 120)
+        try:
+            return await asyncio.gather(
+                *(pool.post(body, b"Search") for body in bodies))
+        finally:
+            await pool.close()
+    return asyncio.run(post_all())
 
 
 def _situation_run(backend, bodies):
     cfg = ProxyConfig(window_ms=3000, force_mode="sem", max_connections=32)
     with running_proxy(backend, cfg) as proxy:
-        results = _concurrent_bodies(url_of(proxy), bodies, barrier=True)
+        results = _concurrent_bodies(url_of(proxy), bodies)
         assert {s for s, _ in results} == {200}
         health = proxy_health(proxy)
         assert health["duplicate_deliveries"] == 0
@@ -194,7 +188,7 @@ def test_criterion_5_throughput_trend():
     backend_cfg = MockBackendConfig(
         compute_delay_ms=1.0, rows_per_response=200,
         per_row_serialize_cost_us=50.0)  # ~11 ms per call, serialized
-    scenario = ScenarioConfig(mode="concurrent", rate=400, clients=64,
+    scenario = ScenarioConfig(rate=400, clients=64,
                               duration_s=6.0, similarity_pct=70,
                               param_length=15, seed=11,
                               request_timeout_s=120)
@@ -228,7 +222,7 @@ def test_criterion_6_trend_sweep():
                     # one shared seed couples the hot/cold draws across
                     # cells, so expected duplicate counts are monotone in sim
                     scenario = ScenarioConfig(
-                        mode="concurrent", rate=4000, clients=32,
+                        rate=4000, clients=32,
                         duration_s=0.04, similarity_pct=sim,
                         param_length=length, seed=99, request_timeout_s=120)
                     rep = run_scenario(scenario, url_of(proxy))
@@ -343,7 +337,7 @@ def test_criterion_10_windowing_latency_bound():
         cfg = ProxyConfig(window_ms=window_ms, force_mode="sem")
         with running_proxy(backend, cfg) as proxy:
             scenario = ScenarioConfig(  # Situation A shape: all distinct
-                mode="concurrent", rate=200, clients=16, duration_s=2.0,
+                rate=200, clients=16, duration_s=2.0,
                 similarity_pct=0, param_length=15, seed=4,
                 request_timeout_s=60)
             rep = run_scenario(scenario, url_of(proxy))

@@ -90,7 +90,7 @@ class TestDedup:
         result = d.dedup(batch([req(1, ["hot"]), req(2, ["cold"]), req(3, ["hot"])]))
         assert [rid for rid, _ in result.cache_hits] == [1, 3]
         assert [r.request_id for r in result.representatives] == [2]
-        assert result.duplicate_ratio == 0.0  # exact partition, no overlaps
+        assert result.duplicate_ratio == 1 / 3  # the second hot key repeats
 
 
 class TestResponseCache:

@@ -66,6 +66,10 @@ class TestGenerator:
         with pytest.raises(ValueError):
             ScenarioConfig(similarity_pct=120)
 
+    def test_clients_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            ScenarioConfig(clients=0)
+
 
 class TestMockBackend:
     def test_identical_params_byte_identical_responses(self, fast_backend):
@@ -146,7 +150,7 @@ class TestRunScenario:
         assert report.sent == 0
 
     def test_serial_mode_runs_in_order(self, fast_backend):
-        cfg = ScenarioConfig(mode="serial", rate=50, duration_s=0.2,
+        cfg = ScenarioConfig(clients=1, rate=50, duration_s=0.2,
                              similarity_pct=100, seed=2)
         report = run_scenario(cfg, url_of(fast_backend))
         assert report.sent == 10
@@ -155,7 +159,7 @@ class TestRunScenario:
         assert report.response_time_max_ms >= report.response_time_p95_ms
 
     def test_concurrent_mode_counts(self, fast_backend):
-        cfg = ScenarioConfig(mode="concurrent", rate=100, duration_s=0.5,
+        cfg = ScenarioConfig(rate=100, duration_s=0.5,
                              clients=4, similarity_pct=50, seed=2)
         report = run_scenario(cfg, url_of(fast_backend))
         assert report.sent == 50
@@ -163,13 +167,13 @@ class TestRunScenario:
         assert report.achieved_rps > 0
 
     def test_connection_failures_counted(self):
-        cfg = ScenarioConfig(mode="serial", rate=20, duration_s=0.2,
+        cfg = ScenarioConfig(clients=1, rate=20, duration_s=0.2,
                              request_timeout_s=0.5)
         report = run_scenario(cfg, "http://127.0.0.1:1/")
         assert report.failed == report.sent == 4
 
     def test_report_csv(self, fast_backend, tmp_path):
-        cfg = ScenarioConfig(mode="serial", rate=20, duration_s=0.2, seed=1)
+        cfg = ScenarioConfig(clients=1, rate=20, duration_s=0.2, seed=1)
         report = run_scenario(cfg, url_of(fast_backend))
         out = tmp_path / "report.csv"
         write_report_csv(report, str(out))

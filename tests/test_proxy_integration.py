@@ -278,6 +278,43 @@ class TestGateIntegration:
                 for conn in conns:
                     conn.close()
 
+    def test_cache_hits_keep_a_hot_stream_in_sem(self, fast_backend):
+        # a cache hit repeats its key like any other duplicate; counted as
+        # distinct, a warm cache would drop the gate to passthrough, whose
+        # forwarded windows measure hot again and send it back
+        hot = soap.build_request_envelope("Search", ["hot"])
+
+        def stream(cache_enabled):
+            """60 bursts of 8 identical posts, 30 ms apart: backend calls
+            made and the gate modes seen after each burst."""
+            cfg = ProxyConfig(window_ms=20, cache_enabled=cache_enabled,
+                              cache_ttl_ms=1000)
+            calls, modes = backend_calls(fast_backend), set()
+            with running_proxy(fast_backend, cfg) as proxy:
+                conns = [http.client.HTTPConnection(*proxy.address, timeout=10)
+                         for _ in range(8)]
+                try:
+                    for _ in range(60):
+                        for conn in conns:
+                            conn.request("POST", "/", hot, {
+                                "Content-Type": "text/xml; charset=utf-8"})
+                        for conn in conns:
+                            resp = conn.getresponse()
+                            assert resp.status == 200
+                            resp.read()
+                        modes.add(proxy.health()["gate_mode"])
+                        time.sleep(0.03)
+                    assert_exactly_once(proxy)
+                finally:
+                    for conn in conns:
+                        conn.close()
+            return backend_calls(fast_backend) - calls, modes
+
+        calls_cached, modes_cached = stream(cache_enabled=True)
+        calls_uncached, _ = stream(cache_enabled=False)
+        assert modes_cached == {"sem"}
+        assert calls_cached < calls_uncached
+
     def test_adaptive_gate_switches_modes(self, fast_backend):
         cfg = ProxyConfig(window_ms=30, gate_alpha=0.5)
         with running_proxy(fast_backend, cfg) as proxy:
@@ -424,7 +461,7 @@ class TestNoRequestsOnServerPath:
     def test_server_modules_do_not_import_requests(self):
         import semproxy
         src = str(Path(semproxy.__file__).resolve().parents[1])
-        code = ("import sys, semproxy.cli, semproxy.proxy, "
+        code = ("import sys, semproxy.cli, semproxy.proxy, semproxy.loadgen, "
                 "semproxy.mock_backend; print('requests' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env,
