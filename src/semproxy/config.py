@@ -17,7 +17,7 @@ class ProxyConfig:
     cache_enabled: bool = False
     cache_ttl_ms: float = 100.0
     cache_capacity: int = 1024
-    min_group_size: int = 2
+    min_group_size: int = 2  # cache misses of a key before its reply is cached
     # gate
     gate_enter: float = 0.35
     gate_exit: float = 0.20

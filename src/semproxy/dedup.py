@@ -3,9 +3,13 @@
 ``Deduplicator.key`` is the one place that decides a request's grouping
 key. Each window batch is grouped through a dict on that key: one
 representative per distinct key goes to the backend, every other member of
-the group receives a copy of the representative's response. The hottest
-key of each batch may additionally be kept in a persistent LRU response
-cache so later windows can skip the backend entirely.
+the group receives a copy of the representative's response. A key that
+repeats across windows may additionally be kept in a persistent LRU
+response cache so later windows can skip the backend entirely. Admission
+follows the doorkeeper of TinyLFU (Einziger, Friedman and Manes, ACM ToS
+2017): a reply is cached only once its key has been seen
+``min_group_size`` times, counting only requests the cache did not
+answer, so one-off keys never take a cache slot.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ class DedupResult:
 class ResponseCacheEntry:
     response_bytes: bytes
     stored_at: int  # monotonic ns
-    hit_count: int = 0
 
 
 class ResponseCache:
@@ -74,20 +77,8 @@ class ResponseCache:
         entry = self._entries.get(seq)
         if entry is None or now >= entry.stored_at + self.ttl_ns:
             return None
-        entry.hit_count += 1
         self._entries.move_to_end(seq)
         return entry.response_bytes
-
-    def evict_expired(self, now: int) -> int:
-        dead = [seq for seq, e in self._entries.items()
-                if now >= e.stored_at + self.ttl_ns]
-        for seq in dead:
-            del self._entries[seq]
-        return len(dead)
-
-    def hit_count(self, seq: bytes) -> int:
-        entry = self._entries.get(seq)
-        return entry.hit_count if entry else 0
 
 
 @dataclass
@@ -95,7 +86,7 @@ class DedupConfig:
     cache_enabled: bool = False
     cache_ttl_ms: float = 100.0
     cache_capacity: int = 1024
-    min_group_size: int = 2
+    min_group_size: int = 2  # sightings of a key before its reply is cached
 
 
 class Deduplicator:
@@ -111,6 +102,10 @@ class Deduplicator:
             capacity=config.cache_capacity,
             ttl_ns=int(config.cache_ttl_ms * 1e6),
         ) if config.cache_enabled else None
+        # the doorkeeper: sightings per key, cache hits not counted;
+        # cleared when it reaches cache_capacity keys, so it never
+        # outgrows the cache itself
+        self._sightings: dict[bytes, int] = {}
 
     def key(self, req: SoapRequest) -> Optional[bytes]:
         """The request's grouping key, or None for a request that must never
@@ -140,6 +135,10 @@ class Deduplicator:
                     if cached is not None:
                         cache_hits.append((rid, cached))
                         continue
+                    seen = self._sightings
+                    if seq not in seen and len(seen) >= self.config.cache_capacity:
+                        seen.clear()
+                    seen[seq] = seen.get(seq, 0) + 1
                 rep = rep_by_key.setdefault(seq, rid)
                 if rep != rid:
                     groups[rep].append(rid)
@@ -156,25 +155,18 @@ class Deduplicator:
         )
 
     def cache_store(self, result: DedupResult, responses: dict[int, bytes]) -> None:
-        """Cache the response of this batch's largest duplicate group.
+        """Cache each representative's reply whose key has been seen at
+        least ``min_group_size`` times, in this batch or earlier ones.
 
-        Ties go to the earliest representative; singleton groups below
-        min_group_size are never cached.
+        ``responses`` maps representative ids to 200 reply bytes. A key
+        stays counted after it is stored, so once its entry expires the
+        next sighting caches it again.
         """
         if self.cache is None:
             return
-        best_id = None
-        best_size = 0
-        for rep in result.representatives:
-            if result.sequences.get(rep.request_id) is None:
-                continue
-            group_size = 1 + len(result.groups.get(rep.request_id, ()))
-            if group_size > best_size:
-                best_size = group_size
-                best_id = rep.request_id
-        if best_id is None or best_size < self.config.min_group_size:
-            return
-        response = responses.get(best_id)
-        if response is None:
-            return
-        self.cache.store(result.sequences[best_id], response, self.clock())
+        now = self.clock()
+        for rid, response in responses.items():
+            seq = result.sequences.get(rid)
+            if (seq is not None
+                    and self._sightings.get(seq, 0) >= self.config.min_group_size):
+                self.cache.store(seq, response, now)

@@ -32,7 +32,6 @@ class GateObservation:
 class GateDecision:
     mode: GateMode
     reason: str
-    effective_from: int
 
 
 @dataclass
@@ -55,7 +54,6 @@ class AdaptiveGate:
         self._service_ewma: Optional[float] = None  # backend ns per call
         self._mode = GateMode.SEM
         self._observations = 0
-        self._next_batch_id = 0
 
     @property
     def ratio_ewma(self) -> Optional[float]:
@@ -75,7 +73,6 @@ class AdaptiveGate:
             self._ratio_ewma = a * obs.duplicate_ratio + (1 - a) * self._ratio_ewma
             self._cost_ewma = a * per_req + (1 - a) * self._cost_ewma
         self._observations += 1
-        self._next_batch_id = obs.batch_id + 1
 
     def note_service_time(self, backend_ns: int) -> None:
         a = self.config.alpha
@@ -103,5 +100,4 @@ class AdaptiveGate:
             reason = f"ratio ewma {self._ratio_ewma:.3f} <= {cfg.exit_threshold}"
         else:
             reason = "inside hysteresis band; holding previous mode"
-        return GateDecision(mode=self._mode, reason=reason,
-                            effective_from=self._next_batch_id)
+        return GateDecision(mode=self._mode, reason=reason)

@@ -129,6 +129,8 @@ class MetricsCollector:
         self.duplicate_deliveries = 0
         self.dropped_disconnects = 0
         self.faults = 0
+        # backend calls not made: a group joined a call already in flight
+        self.singleflight_joins = 0
 
     def record_connection_attempt(self) -> None:
         self._interval.connection_attempts += 1
@@ -209,6 +211,7 @@ class MetricsCollector:
             "duplicate_deliveries": self.duplicate_deliveries,
             "dropped_disconnects": self.dropped_disconnects,
             "faults": self.faults,
+            "singleflight_joins": self.singleflight_joins,
             "gate_mode": self.gate_mode,
             "response_time_mean_ms": self.global_response_hist.mean(),
             "response_time_p95_ms": self.global_response_hist.percentile(95),

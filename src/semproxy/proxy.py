@@ -13,6 +13,10 @@ mode can therefore change only at a window boundary.
   connections. As soon as a group's backend call completes, its reply bytes
   resolve the future of every member. A future can be resolved once, so
   every admitted request receives exactly one response.
+- Single flight: a representative whose key already has a backend call in
+  flight, started by an earlier window, makes no call of its own. Its
+  group joins that call's member list and gets the same reply, or the same
+  fault, when the call completes.
 - Passthrough mode: the connection task forwards its request at once and
   writes the backend's reply. The window only measures: when it closes,
   the duplicate ratio of its keys goes to the gate, which needs it to
@@ -88,6 +92,8 @@ class SemProxy:
         self._ids = count(1)
         # future of each admitted request whose client still waits for it
         self._in_flight: dict[int, asyncio.Future] = {}
+        # key of each backend call in flight -> ids of the requests it answers
+        self._pending: dict[bytes, list[int]] = {}
         self._window_timer: Optional[asyncio.TimerHandle] = None
         self._snapshot_timer: Optional[asyncio.TimerHandle] = None
         self._batch_tasks: set[asyncio.Task] = set()
@@ -387,12 +393,21 @@ class SemProxy:
         return status, body
 
     async def _forward_batch(self, result: DedupResult) -> None:
-        """Forward each representative; fan out each group's reply as soon
-        as its own call completes."""
+        """Forward each representative, or join the call in flight for its
+        key; fan out each call's reply as soon as it completes."""
         responses: dict[int, bytes] = {}
 
         async def forward_group(rep: soap.SoapRequest) -> None:
             members = [rep.request_id, *result.groups.get(rep.request_id, ())]
+            key = result.sequences.get(rep.request_id)
+            if key is not None:  # None: never shares a call
+                joined = self._pending.get(key)
+                if joined is not None:
+                    joined.extend(members)
+                    self.metrics.singleflight_joins += 1
+                    return
+                # members grows as later windows join this call
+                self._pending[key] = members
             try:
                 status, body = await self._call_backend(rep)
             except Exception:
@@ -400,6 +415,9 @@ class SemProxy:
                 self.stage_failures += 1
                 self._fail(members)
                 return
+            finally:
+                if key is not None:
+                    del self._pending[key]
             for rid in members:
                 self._deliver(rid, status, body)
             if status == 200:

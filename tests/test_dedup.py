@@ -107,20 +107,12 @@ class TestResponseCache:
     def test_lookup_never_stored(self):
         assert ResponseCache().lookup(b"nope", now=0) is None
 
-    def test_hit_count_increments(self):
-        c = ResponseCache(ttl_ns=1000)
-        c.store(b"k", b"resp", now=0)
-        c.lookup(b"k", 1)
-        c.lookup(b"k", 2)
-        assert c.hit_count(b"k") == 2
-
     def test_restore_replaces_bytes_keeps_hits(self):
         c = ResponseCache(ttl_ns=1000)
         c.store(b"k", b"old", now=0)
         c.lookup(b"k", 1)
         c.store(b"k", b"new", now=2)
         assert c.lookup(b"k", 3) == b"new"
-        assert c.hit_count(b"k") == 2
 
     def test_capacity_evicts_least_recently_hit(self):
         c = ResponseCache(capacity=2, ttl_ns=10_000)
@@ -131,16 +123,6 @@ class TestResponseCache:
         assert c.lookup(b"b", 7) is None
         assert c.lookup(b"a", 7) == b"ra"
         assert c.lookup(b"c", 7) == b"rc"
-
-    def test_evict_expired(self):
-        c = ResponseCache(ttl_ns=100)
-        assert c.evict_expired(now=0) == 0
-        c.store(b"a", b"x", now=0)
-        c.store(b"b", b"y", now=50)
-        assert c.evict_expired(now=120) == 1
-        assert len(c) == 1
-        assert c.evict_expired(now=500) == 1
-        assert len(c) == 0
 
     def test_eviction_matches_naive_model_randomized(self):
         # model: a dict of seq -> [bytes, stored_at, last_hit]; when full,
@@ -193,21 +175,32 @@ class TestResponseCache:
 
 
 class TestCacheStore:
-    def make(self):
+    """A reply is cached once its key has been seen min_group_size times,
+    counted across batches; cache hits do not count."""
+
+    def make(self, capacity=1024):
         return Deduplicator(
-            DedupConfig(cache_enabled=True, cache_ttl_ms=10_000, min_group_size=2),
+            DedupConfig(cache_enabled=True, cache_ttl_ms=10_000,
+                        cache_capacity=capacity, min_group_size=2),
             clock=lambda: 0)
 
+    @staticmethod
+    def run(d, requests, bid=0):
+        """Group one batch and store a reply per representative."""
+        result = d.dedup(batch(requests, bid))
+        d.cache_store(result, {r.request_id: f"resp-{r.parameters[0]}".encode()
+                               for r in result.representatives})
+        return result
+
     def test_largest_group_cached(self):
+        # every group with two sightings is cached, not only the largest
         d = self.make()
-        requests = ([req(i, ["s1"]) for i in range(5)]
-                    + [req(i + 10, ["s2"]) for i in range(3)])
-        result = d.dedup(batch(requests))
-        responses = {r.request_id: f"resp-{r.parameters[0]}".encode()
-                     for r in result.representatives}
-        d.cache_store(result, responses)
+        self.run(d, [req(i, ["s1"]) for i in range(5)]
+                 + [req(i + 10, ["s2"]) for i in range(3)]
+                 + [req(20, ["s3"])])
         assert d.cache.lookup(b"search\x1fs1", 1) == b"resp-s1"
-        assert d.cache.lookup(b"search\x1fs2", 1) is None
+        assert d.cache.lookup(b"search\x1fs2", 1) == b"resp-s2"
+        assert d.cache.lookup(b"search\x1fs3", 1) is None
 
     def test_no_duplicates_nothing_cached(self):
         d = self.make()
@@ -216,9 +209,42 @@ class TestCacheStore:
         assert len(d.cache) == 0
 
     def test_tie_goes_to_earliest_representative(self):
+        # tied groups are both cached, each with its representative's reply
         d = self.make()
         requests = [req(1, ["x"]), req(2, ["y"]), req(3, ["x"]), req(4, ["y"])]
         result = d.dedup(batch(requests))
         d.cache_store(result, {1: b"rx", 2: b"ry"})
         assert d.cache.lookup(b"search\x1fx", 1) == b"rx"
-        assert d.cache.lookup(b"search\x1fy", 1) is None
+        assert d.cache.lookup(b"search\x1fy", 1) == b"ry"
+
+    def test_second_sighting_in_a_later_batch_is_cached(self):
+        d = self.make()
+        self.run(d, [req(1, ["hot"]), req(2, ["a"])], bid=0)
+        assert len(d.cache) == 0
+        self.run(d, [req(3, ["hot"]), req(4, ["b"])], bid=1)
+        assert d.cache.lookup(b"search\x1fhot", 1) == b"resp-hot"
+        assert len(d.cache) == 1
+
+    def test_key_seen_once_is_never_stored(self):
+        d = self.make()
+        for bid in range(50):
+            self.run(d, [req(bid * 2, [f"cold{bid}"]),
+                         req(bid * 2 + 1, [f"other{bid}"])], bid)
+        assert len(d.cache) == 0
+
+    def test_missing_reply_is_not_stored(self):
+        # a key without a 200 reply (a fault, or a call another window
+        # made) is counted but not cached
+        d = self.make()
+        result = d.dedup(batch([req(1, ["x"]), req(2, ["x"])]))
+        d.cache_store(result, {})
+        assert len(d.cache) == 0
+
+    def test_doorkeeper_never_exceeds_cache_capacity(self):
+        rng = random.Random(4)
+        d = self.make(capacity=16)
+        for bid in range(300):
+            self.run(d, [req(bid * 4 + j, [f"k{rng.randint(0, 200)}"])
+                         for j in range(4)], bid)
+            assert len(d._sightings) <= 16
+            assert len(d.cache) <= 16

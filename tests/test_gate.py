@@ -89,11 +89,6 @@ class TestDecide:
         g.observe(obs(0, 0.9, cost_ns=100_000, size=100))  # 1 us per request
         assert g.decide().mode is GateMode.SEM
 
-    def test_effective_from_tracks_next_batch(self):
-        g = AdaptiveGate()
-        g.observe(obs(7, 0.9))
-        assert g.decide().effective_from == 8
-
 
 class TestProperties:
     def test_replay_determinism(self):

@@ -1,8 +1,10 @@
+import asyncio
 import concurrent.futures as cf
 import hashlib
 import http.client
 import os
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -23,6 +25,17 @@ def post(url, body, timeout=30):
     return requests.post(url, data=body,
                          headers={"Content-Type": "text/xml; charset=utf-8"},
                          timeout=timeout)
+
+
+def posts_from_callers(url, bodies, callers=8):
+    """Each of ``callers`` threads posts its share of bodies one after
+    another on a keep-alive session; the statuses, caller by caller."""
+    def caller(share):
+        with requests.Session() as s:
+            return [s.post(url, data=b, timeout=30).status_code for b in share]
+    with cf.ThreadPoolExecutor(callers) as ex:
+        shares = [bodies[k::callers] for k in range(callers)]
+        return [c for part in ex.map(caller, shares) for c in part]
 
 
 def concurrent_post(url, bodies, workers=None):
@@ -365,17 +378,8 @@ class TestDeliveryState:
     def test_in_flight_empties_and_ledger_balances(self, fast_backend):
         bodies = [soap.build_request_envelope("Search", [f"q{i % 50}"])
                   for i in range(500)]
-
-        def caller(share):
-            with requests.Session() as s:
-                return [s.post(url_of(proxy), data=b, timeout=30).status_code
-                        for b in share]
-
         with running_proxy(fast_backend, ProxyConfig(window_ms=5)) as proxy:
-            with cf.ThreadPoolExecutor(8) as ex:
-                statuses = [c for part in ex.map(caller, [bodies[k::8]
-                                                          for k in range(8)])
-                            for c in part]
+            statuses = posts_from_callers(url_of(proxy), bodies)
             assert statuses == [200] * 500
             time.sleep(0.1)  # idle
             health = proxy_health(proxy)
@@ -455,6 +459,157 @@ class TestDeliveryState:
             assert idle.recv(1) == b""  # the idle keep-alive client is closed
         finally:
             idle.close()
+
+
+def pending_sizes(proxy):
+    """Member count of each backend call in flight, read on the loop."""
+    async def read():
+        return [len(members) for members in proxy._pending.values()]
+    return asyncio.run_coroutine_threadsafe(read(), proxy._loop).result(5)
+
+
+def wait_for(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(0.005)
+
+
+@pytest.fixture
+def slow_backend():
+    # each call takes 400 ms: long enough for later windows to overlap it
+    with running_backend(MockBackendConfig(
+            compute_delay_ms=400, rows_per_response=5,
+            per_row_serialize_cost_us=10)) as backend:
+        yield backend
+
+
+class TestSingleFlight:
+    """A group whose key has a backend call in flight, started by an
+    earlier window, joins that call instead of making its own."""
+
+    @pytest.fixture(autouse=True)
+    def background(self):
+        with cf.ThreadPoolExecutor(2) as ex:
+            self.in_background = ex.submit
+            yield
+
+    def test_two_windows_on_one_key_make_one_call(self, slow_backend):
+        cfg = ProxyConfig(window_ms=20, force_mode="sem")
+        body = soap.build_request_envelope("Search", ["hot"])
+        with running_proxy(slow_backend, cfg) as proxy:
+            first = self.in_background(post, url_of(proxy), body)
+            wait_for(lambda: pending_sizes(proxy) == [1])
+            second = post(url_of(proxy), body)
+            first = first.result(timeout=10)
+            assert first.status_code == second.status_code == 200
+            assert first.content == second.content
+            assert backend_calls(slow_backend) == 1
+            health = proxy_health(proxy)
+            assert health["singleflight_joins"] == 1
+            assert health["backend_calls"] == 1
+            assert pending_sizes(proxy) == []
+            assert_exactly_once(proxy)
+
+    def test_denylisted_operation_never_joins(self, slow_backend):
+        cfg = ProxyConfig(window_ms=20, force_mode="sem",
+                          operation_denylist=["Search"])
+        body = soap.build_request_envelope("Search", ["hot"])
+        with running_proxy(slow_backend, cfg) as proxy:
+            first = self.in_background(post, url_of(proxy), body)
+            wait_for(lambda: proxy.health()["backend_calls"] == 1)
+            assert pending_sizes(proxy) == []  # a None key never registers
+            second = post(url_of(proxy), body)
+            assert first.result(timeout=10).status_code == 200
+            assert second.status_code == 200
+            assert backend_calls(slow_backend) == 2
+            assert proxy_health(proxy)["singleflight_joins"] == 0
+            assert_exactly_once(proxy)
+
+    def test_raising_call_faults_every_joiner(self, fast_backend):
+        async def slow_failure(*args):
+            await asyncio.sleep(0.3)
+            raise RuntimeError("injected stage failure")
+
+        cfg = ProxyConfig(window_ms=20, force_mode="sem")
+        body = soap.build_request_envelope("Search", ["hot"])
+        with running_proxy(fast_backend, cfg) as proxy:
+            proxy.backend.post = slow_failure
+            t0 = time.monotonic()
+            first = self.in_background(post, url_of(proxy), body)
+            wait_for(lambda: pending_sizes(proxy) == [1])
+            results = concurrent_post(url_of(proxy), [body] * 3)
+            results.append((first.result(timeout=10).status_code, None))
+            assert time.monotonic() - t0 < 1.0
+            assert {s for s, _ in results} == {500}
+            health = proxy_health(proxy)
+            assert health["singleflight_joins"] >= 1
+            assert health["backend_calls"] == 1
+            assert health["stage_failures"] == 1
+            assert health["in_flight"] == 0
+            assert pending_sizes(proxy) == []
+            assert_exactly_once(proxy)
+
+    def test_joiner_whose_client_left_counts_as_dropped(self, slow_backend):
+        cfg = ProxyConfig(window_ms=20, force_mode="sem")
+        body = soap.build_request_envelope("Search", ["hot"])
+        with running_proxy(slow_backend, cfg) as proxy:
+            first = self.in_background(post, url_of(proxy), body)
+            wait_for(lambda: pending_sizes(proxy) == [1])
+            gone = socket.create_connection(proxy.address, timeout=5)
+            gone.sendall(b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                         % (len(body), body))
+            wait_for(lambda: pending_sizes(proxy) == [2])
+            # close with a reset, so the reply cannot be written
+            gone.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            gone.close()
+            assert first.result(timeout=10).status_code == 200
+            wait_for(lambda: proxy.health()["dropped_disconnects"] == 1)
+            health = proxy_health(proxy)
+            assert health["singleflight_joins"] == 1
+            assert health["delivered"] == 1
+            assert backend_calls(slow_backend) == 1
+            assert_exactly_once(proxy)
+
+    def test_stop_mid_flight_answers_every_joiner(self, slow_backend):
+        from semproxy import proxy as px
+        cfg = ProxyConfig(window_ms=20, force_mode="sem")
+        cfg.backend_url = url_of(slow_backend)
+        body = soap.build_request_envelope("Search", ["hot"])
+        proxy = px.serve(("127.0.0.1", 0), cfg)
+        try:
+            first = self.in_background(post, url_of(proxy), body)
+            wait_for(lambda: pending_sizes(proxy) == [1])
+            joiners = self.in_background(
+                concurrent_post, url_of(proxy), [body] * 2)
+            wait_for(lambda: pending_sizes(proxy) == [3])
+        finally:
+            proxy.stop()
+        results = [(first.result(timeout=10).status_code, None),
+                   *joiners.result(timeout=10)]
+        assert [s for s, _ in results] == [200] * 3
+        assert backend_calls(slow_backend) == 1
+        assert proxy.health()["singleflight_joins"] >= 1
+        assert proxy._pending == {}
+
+    def test_hot_run_leaves_nothing_pending(self):
+        bodies = [soap.build_request_envelope("Search", [f"k{i % 3}"])
+                  for i in range(240)]
+        with running_backend(MockBackendConfig(
+                compute_delay_ms=5, rows_per_response=5,
+                per_row_serialize_cost_us=10)) as backend:
+            cfg = ProxyConfig(window_ms=2, force_mode="sem")
+            with running_proxy(backend, cfg) as proxy:
+                statuses = posts_from_callers(url_of(proxy), bodies)
+                assert statuses == [200] * 240
+                health = proxy_health(proxy)
+                assert health["in_flight"] == 0
+                assert pending_sizes(proxy) == []
+                assert health["singleflight_joins"] > 0
+                assert health["backend_calls"] == backend_calls(backend)
+                assert health["admitted"] == health["delivered"] == 240
+                assert_exactly_once(proxy)
 
 
 class TestNoRequestsOnServerPath:
