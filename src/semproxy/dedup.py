@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Container, Optional
 
 from .soap import SeparatorInValue, SoapRequest, build_parameter_sequence
 from .windowing import WindowBatch
@@ -118,27 +118,43 @@ class Deduplicator:
         except SeparatorInValue:
             return None
 
-    def dedup(self, batch: WindowBatch) -> DedupResult:
-        """Group one batch by key; representative = earliest arrival."""
+    def sight(self, seq: bytes) -> None:
+        """Count one cache miss of seq toward its admission."""
+        seen = self._sightings
+        if seq not in seen and len(seen) >= self.config.cache_capacity:
+            seen.clear()
+        seen[seq] = seen.get(seq, 0) + 1
+
+    def dedup(self, batch: WindowBatch,
+              keys: Optional[list[Optional[bytes]]] = None,
+              answered: Container[int] = frozenset()) -> DedupResult:
+        """Group one batch by key; representative = earliest arrival.
+
+        ``keys``, when given, are the requests' keys in batch order, built
+        by the caller at admission. A request whose id is in ``answered``
+        already has its reply: its key counts toward the duplicate ratio,
+        and it is neither looked up, nor sighted, nor grouped.
+        """
+        if keys is None:
+            keys = [self.key(req) for req in batch.requests]
         representatives: list[SoapRequest] = []
         groups: dict[int, list[int]] = {}
         cache_hits: list[tuple[int, bytes]] = []
         sequences: dict[int, Optional[bytes]] = {}
         rep_by_key: dict[bytes, int] = {}
         now = self.clock()
-        for req in batch.requests:
+        for req, seq in zip(batch.requests, keys):
             rid = req.request_id
-            seq = sequences[rid] = self.key(req)
+            if rid in answered:
+                continue
+            sequences[rid] = seq
             if seq is not None:  # None: always its own representative
                 if self.cache is not None:
                     cached = self.cache.lookup(seq, now)
                     if cached is not None:
                         cache_hits.append((rid, cached))
                         continue
-                    seen = self._sightings
-                    if seq not in seen and len(seen) >= self.config.cache_capacity:
-                        seen.clear()
-                    seen[seq] = seen.get(seq, 0) + 1
+                    self.sight(seq)
                 rep = rep_by_key.setdefault(seq, rid)
                 if rep != rid:
                     groups[rep].append(rid)
@@ -149,7 +165,7 @@ class Deduplicator:
             batch_id=batch.batch_id,
             representatives=representatives,
             groups=groups,
-            duplicate_ratio=duplicate_ratio(list(sequences.values())),
+            duplicate_ratio=duplicate_ratio(keys),
             cache_hits=cache_hits,
             sequences=sequences,
         )

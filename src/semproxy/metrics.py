@@ -129,7 +129,8 @@ class MetricsCollector:
         self.duplicate_deliveries = 0
         self.dropped_disconnects = 0
         self.faults = 0
-        # backend calls not made: a group joined a call already in flight
+        # backend calls not made: a request at admission, or a group at its
+        # window's close, joined a call already in flight
         self.singleflight_joins = 0
 
     def record_connection_attempt(self) -> None:

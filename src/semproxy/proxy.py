@@ -3,16 +3,24 @@
 One asyncio event loop on one thread does all the work. Each client
 connection is a task that reads a request, parses it and admits it into the
 window collector. A timer armed with ``loop.call_at`` only while a window
-holds requests closes the window at its epoch-aligned end. Each window runs
-in one mode, set by the gate's decision when the previous window closed; a
-mode can therefore change only at a window boundary.
+holds requests closes the window at its epoch-aligned end. The selector
+rounds a timeout up to whole milliseconds, so the timer is armed
+``_TIMER_LEAD_NS`` early and closes the window as of its end: the close
+lands within about half a millisecond of the end, either side. Each window
+runs in one mode, set by the gate's decision when the previous window
+closed; a mode can therefore change only at a window boundary.
 
-- Sem mode: the connection task waits on its request's future. When the
-  window closes, its batch is grouped inline, and one task per batch
-  forwards each representative over a bounded pool of keep-alive backend
-  connections. As soon as a group's backend call completes, its reply bytes
-  resolve the future of every member. A future can be resolved once, so
-  every admitted request receives exactly one response.
+- Sem mode: the request's key is built at admission. If the cache holds a
+  live reply for it, that reply is written at once. Otherwise, if a
+  backend call for the key is in flight, the request joins that call.
+  Either way it is still counted in its window, so the gate sees every
+  key, but the window's close leaves it out of grouping, delivery and
+  caching. Any other request waits on its future. When the window closes,
+  its batch is grouped inline, and one task per batch forwards each
+  representative over a bounded pool of keep-alive backend connections.
+  As soon as a group's backend call completes, its reply bytes resolve the
+  future of every member and may enter the cache. A future can be
+  resolved once, so every admitted request receives exactly one response.
 - Single flight: a representative whose key already has a backend call in
   flight, started by an earlier window, makes no call of its own. Its
   group joins that call's member list and gets the same reply, or the same
@@ -47,6 +55,9 @@ _XML = b"text/xml; charset=utf-8"
 _JSON = b"application/json"
 _STAGE_FAULT = soap.build_fault("Server", "proxy stage failure")
 _TIMEOUT_FAULT = soap.build_fault("Server.Timeout", "pipeline timeout")
+# the window timer fires this long before the window's end: half the
+# selector's 1 ms resolution, which rounds every timeout up
+_TIMER_LEAD_NS = 500_000
 
 log = logging.getLogger(__name__)
 
@@ -94,6 +105,11 @@ class SemProxy:
         self._in_flight: dict[int, asyncio.Future] = {}
         # key of each backend call in flight -> ids of the requests it answers
         self._pending: dict[bytes, list[int]] = {}
+        # key of each sem request in an open window, built at admission;
+        # both are emptied for a window's requests when it closes
+        self._keys: dict[int, Optional[bytes]] = {}
+        # ids of those requests answered, or joined to a call, at admission
+        self._answered: set[int] = set()
         self._window_timer: Optional[asyncio.TimerHandle] = None
         self._snapshot_timer: Optional[asyncio.TimerHandle] = None
         self._batch_tasks: set[asyncio.Task] = set()
@@ -267,13 +283,22 @@ class SemProxy:
         self.metrics.admitted += 1
         # admit closes every window that has ended, and _drain_batches
         # processes it, which sets the mode of the window req is in. That
-        # window stays open until a later call, so req's future can be
-        # made after it.
+        # window stays open until a later call, so req's key and future can
+        # be made after it.
         self.collector.admit(req, time.monotonic_ns())
         self._drain_batches()
         self._arm_window_timer()
         if self._mode() is GateMode.PASSTHROUGH:
             return await self._pass_through(req)
+        try:
+            cached = self._admit_sem(req)
+        except Exception:
+            log.exception("admitting request %d failed", rid)
+            self.stage_failures += 1
+            self._answered.add(rid)
+            return 500, _STAGE_FAULT, True
+        if cached is not None:
+            return 200, cached, True
         future = self._loop.create_future()
         self._in_flight[rid] = future
         try:
@@ -286,6 +311,33 @@ class SemProxy:
             return 504, _TIMEOUT_FAULT, False
         finally:
             del self._in_flight[rid]
+
+    def _admit_sem(self, req: soap.SoapRequest) -> Optional[bytes]:
+        """Build a sem request's key, then answer it from the cache or join
+        the backend call in flight for its key. Returns the cached reply,
+        or None while the request awaits its future."""
+        rid = req.request_id
+        key = self._keys[rid] = self.deduper.key(req)
+        if key is None:  # never shares a reply
+            return None
+        cache = self.deduper.cache
+        if cache is not None:
+            cached = cache.lookup(key, self.deduper.clock())
+            if cached is not None:
+                self._answered.add(rid)
+                self.metrics.record_cache(hits=1, misses=0)
+                self.metrics.record_window_wait(0)
+                return cached
+        members = self._pending.get(key)
+        if members is not None:
+            if cache is not None:  # a miss, as its window would count it
+                self.deduper.sight(key)
+                self.metrics.record_cache(hits=0, misses=1)
+            self.metrics.singleflight_joins += 1
+            self.metrics.record_window_wait(0)
+            self._answered.add(rid)
+            members.append(rid)
+        return None
 
     async def _pass_through(
             self, req: soap.SoapRequest) -> tuple[int, bytes, bool]:
@@ -311,28 +363,41 @@ class SemProxy:
             if end_ns is not None:
                 # loop.time() is time.monotonic(), the collector's clock
                 self._window_timer = self._loop.call_at(
-                    end_ns / 1e9, self._close_window)
+                    (end_ns - _TIMER_LEAD_NS) / 1e9, self._close_window,
+                    end_ns)
 
-    def _close_window(self) -> None:
+    def _close_window(self, end_ns: int) -> None:
+        """Close the window ending at end_ns, even if the timer fired
+        before it; a request admitted before end_ns then opens the next
+        window."""
         self._window_timer = None
-        self.collector.flush(time.monotonic_ns())
+        self.collector.flush(max(time.monotonic_ns(), end_ns))
         self._drain_batches()
-        self._arm_window_timer()  # the timer may fire a hair early
+        self._arm_window_timer()
 
     def _drain_batches(self) -> None:
         out = self.collector.out_queue
         while not out.empty():
             batch = out.get_nowait()
             mode = self._mode()
+            keys, answered = None, set()
+            if mode is GateMode.SEM:
+                keys = [self._keys.pop(r.request_id, None)
+                        for r in batch.requests]
+                answered = {r.request_id for r in batch.requests
+                            if r.request_id in self._answered}
+                self._answered -= answered
             try:
-                self._process_batch(batch, mode)
+                self._process_batch(batch, mode, keys, answered)
             except Exception:
                 log.exception("batch %d failed", batch.batch_id)
                 self.stage_failures += 1
                 if mode is GateMode.SEM:
                     # passthrough requests were forwarded at admission and
-                    # may have been answered already
-                    self._fail([r.request_id for r in batch.requests])
+                    # may have been answered already, as may sem requests
+                    # answered at admission
+                    self._fail([r.request_id for r in batch.requests
+                                if r.request_id not in answered])
 
     # ------------------------------------------------------------ batch stage
 
@@ -341,16 +406,22 @@ class SemProxy:
         decision when the previous window closed."""
         return self._forced_mode or self.gate.mode
 
-    def _process_batch(self, batch: WindowBatch, mode: GateMode) -> None:
+    def _process_batch(self, batch: WindowBatch, mode: GateMode,
+                       keys: Optional[list[Optional[bytes]]],
+                       answered: set[int]) -> None:
         """Group (sem) or measure (passthrough) one closed window, feed its
-        duplicate ratio to the gate, and set the next window's mode."""
+        duplicate ratio to the gate, and set the next window's mode.
+
+        In sem mode ``keys`` are the keys built at admission, and the
+        requests in ``answered`` count only toward the ratio."""
         if mode is GateMode.SEM:
             pull = time.monotonic_ns()
             for req in batch.requests:
-                self.metrics.record_window_wait(pull - req.arrival_time)
+                if req.request_id not in answered:
+                    self.metrics.record_window_wait(pull - req.arrival_time)
         t0 = time.monotonic_ns()
         if mode is GateMode.SEM:
-            result = self.deduper.dedup(batch)
+            result = self.deduper.dedup(batch, keys, answered)
             ratio = result.duplicate_ratio
         else:  # the same ratio as sem mode, so the gate can re-enter it
             ratio = duplicate_ratio(
@@ -370,7 +441,7 @@ class SemProxy:
         if self.deduper.cache is not None:
             self.metrics.record_cache(
                 hits=len(result.cache_hits),
-                misses=len(batch.requests) - len(result.cache_hits))
+                misses=len(result.sequences) - len(result.cache_hits))
         for rid, cached in result.cache_hits:
             self._deliver(rid, 200, cached)
         if result.representatives:
@@ -394,9 +465,7 @@ class SemProxy:
 
     async def _forward_batch(self, result: DedupResult) -> None:
         """Forward each representative, or join the call in flight for its
-        key; fan out each call's reply as soon as it completes."""
-        responses: dict[int, bytes] = {}
-
+        key; fan out, and cache, each call's reply as soon as it completes."""
         async def forward_group(rep: soap.SoapRequest) -> None:
             members = [rep.request_id, *result.groups.get(rep.request_id, ())]
             key = result.sequences.get(rep.request_id)
@@ -420,20 +489,18 @@ class SemProxy:
                     del self._pending[key]
             for rid in members:
                 self._deliver(rid, status, body)
-            if status == 200:
-                responses[rep.request_id] = body
+            if status == 200 and self.deduper.cache is not None:
+                try:
+                    self.deduper.cache_store(result, {rep.request_id: body})
+                except Exception:
+                    log.exception("caching request %d failed", rep.request_id)
+                    self.stage_failures += 1
 
         reps = result.representatives
         if len(reps) == 1:
             await forward_group(reps[0])
         else:
             await asyncio.gather(*(forward_group(rep) for rep in reps))
-        if self.deduper.cache is not None:
-            try:
-                self.deduper.cache_store(result, responses)
-            except Exception:
-                log.exception("caching batch %d failed", result.batch_id)
-                self.stage_failures += 1
 
     def _deliver(self, request_id: int, status: int, body: bytes) -> None:
         future = self._in_flight.get(request_id)

@@ -201,6 +201,25 @@ class TestResponseCache:
             assert health["cache_entries"] == 1
             assert_exactly_once(proxy)
 
+    def test_cached_key_is_answered_at_admission(self, fast_backend):
+        cfg = ProxyConfig(window_ms=500, force_mode="sem",
+                          cache_enabled=True, cache_ttl_ms=10_000)
+        with running_proxy(fast_backend, cfg) as proxy:
+            body = soap.build_request_envelope("Search", ["hot"])
+            # two sightings: the reply is cached when its call completes
+            first = concurrent_post(url_of(proxy), [body] * 2)
+            assert {s for s, _ in first} == {200}
+            calls = backend_calls(fast_backend)
+            t0 = time.monotonic()
+            resp = post(url_of(proxy), body)
+            # far less than the 500 ms window it still counts in
+            assert time.monotonic() - t0 < 0.25
+            assert resp.status_code == 200
+            assert resp.content == first[0][1]
+            assert backend_calls(fast_backend) == calls
+            assert proxy_health(proxy)["cache_hits"] == 1
+            assert_exactly_once(proxy)
+
     def test_cache_disabled_by_default(self, fast_backend):
         cfg = ProxyConfig(window_ms=40, force_mode="sem")
         with running_proxy(fast_backend, cfg) as proxy:
@@ -387,7 +406,8 @@ class TestDeliveryState:
             assert health["admitted"] == health["delivered"] == 500
             assert_exactly_once(proxy)
 
-    @pytest.mark.parametrize("stage", ["deduper.dedup", "backend.post"])
+    @pytest.mark.parametrize("stage", ["deduper.dedup", "backend.post",
+                                       "deduper.key"])
     def test_stage_exception_faults_every_member_at_once(self, fast_backend,
                                                          stage):
         def broken(*args):
@@ -468,6 +488,13 @@ def pending_sizes(proxy):
     return asyncio.run_coroutine_threadsafe(read(), proxy._loop).result(5)
 
 
+def admission_marks(proxy):
+    """Sizes of the proxy's per-request admission state, read on the loop."""
+    async def read():
+        return len(proxy._keys), len(proxy._answered)
+    return asyncio.run_coroutine_threadsafe(read(), proxy._loop).result(5)
+
+
 def wait_for(condition, timeout=5.0):
     deadline = time.monotonic() + timeout
     while not condition():
@@ -509,6 +536,22 @@ class TestSingleFlight:
             assert health["singleflight_joins"] == 1
             assert health["backend_calls"] == 1
             assert pending_sizes(proxy) == []
+            assert_exactly_once(proxy)
+
+    def test_request_joins_a_call_in_flight_at_admission(self, slow_backend):
+        # the second post's window closes well after the call completes,
+        # so only a join at admission saves its call
+        cfg = ProxyConfig(window_ms=1000, force_mode="sem")
+        body = soap.build_request_envelope("Search", ["hot"])
+        with running_proxy(slow_backend, cfg) as proxy:
+            first = self.in_background(post, url_of(proxy), body)
+            wait_for(lambda: pending_sizes(proxy) == [1])
+            second = post(url_of(proxy), body)
+            first = first.result(timeout=10)
+            assert first.status_code == second.status_code == 200
+            assert first.content == second.content
+            assert backend_calls(slow_backend) == 1
+            assert proxy_health(proxy)["singleflight_joins"] == 1
             assert_exactly_once(proxy)
 
     def test_denylisted_operation_never_joins(self, slow_backend):
@@ -594,22 +637,34 @@ class TestSingleFlight:
         assert proxy._pending == {}
 
     def test_hot_run_leaves_nothing_pending(self):
+        health = self.hot_run(cache_enabled=False)
+        assert health["singleflight_joins"] > 0
+
+    def test_hot_cached_run_leaves_nothing_pending(self):
+        assert self.hot_run(cache_enabled=True)["cache_hits"] > 0
+
+    def hot_run(self, cache_enabled):
+        """240 posts over 3 keys from 8 callers; checks that no request
+        or call is left behind, and returns the proxy's health."""
         bodies = [soap.build_request_envelope("Search", [f"k{i % 3}"])
                   for i in range(240)]
         with running_backend(MockBackendConfig(
                 compute_delay_ms=5, rows_per_response=5,
                 per_row_serialize_cost_us=10)) as backend:
-            cfg = ProxyConfig(window_ms=2, force_mode="sem")
+            cfg = ProxyConfig(window_ms=2, force_mode="sem",
+                              cache_enabled=cache_enabled)
             with running_proxy(backend, cfg) as proxy:
                 statuses = posts_from_callers(url_of(proxy), bodies)
                 assert statuses == [200] * 240
+                time.sleep(0.05)  # every window closed
                 health = proxy_health(proxy)
                 assert health["in_flight"] == 0
                 assert pending_sizes(proxy) == []
-                assert health["singleflight_joins"] > 0
+                assert admission_marks(proxy) == (0, 0)
                 assert health["backend_calls"] == backend_calls(backend)
                 assert health["admitted"] == health["delivered"] == 240
                 assert_exactly_once(proxy)
+                return health
 
 
 class TestNoRequestsOnServerPath:

@@ -113,3 +113,19 @@ class TestWindowing:
         c.flush(2 * MS)  # timer tick at the boundary
         (batch,) = drain(c)
         assert batch.window_end - batch.requests[0].arrival_time < 2 * 2 * MS
+
+    def test_flush_as_of_end_before_end(self):
+        # a timer that fires early closes its window as of the window's end
+        c = make(window_ms=2)
+        c.admit(req(1, int(0.5 * MS)), int(0.5 * MS))
+        c.flush(2 * MS)  # fired at 1.6 ms, flushed as of the 2 ms end
+        (first,) = drain(c)
+        assert [r.request_id for r in first.requests] == [1]
+        assert first.window_end == 2 * MS
+        # admitted after that close but before the end: the next window
+        c.admit(req(2, int(1.8 * MS)), int(1.8 * MS))
+        assert c.open_window_end == 4 * MS
+        c.flush(4 * MS)
+        (second,) = drain(c)
+        assert [r.request_id for r in second.requests] == [2]
+        assert c.flushed_batches == 2
