@@ -1,11 +1,11 @@
 """Batch grouping and the persistent hot-response cache.
 
 ``Deduplicator.key`` is the one place that decides a request's grouping
-key. Each window batch is grouped through a dict on that key: one
-representative per distinct key goes to the backend, every other member of
-the group receives a copy of the representative's response. A key that
-repeats across windows may additionally be kept in a persistent LRU
-response cache so later windows can skip the backend entirely. Admission
+key, and ``duplicate_ratio`` measures a window's keys for the gate.
+``Deduplicator.dedup`` groups a whole batch through a dict on that key: one
+representative per distinct key, every other member in its group. A key
+that repeats across windows may additionally be kept in a persistent LRU
+response cache so later requests can skip the backend entirely. Admission
 follows the doorkeeper of TinyLFU (Einziger, Friedman and Manes, ACM ToS
 2017): a reply is cached only once its key has been seen
 ``min_group_size`` times, counting only requests the cache did not
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Container, Optional
+from typing import Callable, Optional
 
 from .soap import SeparatorInValue, SoapRequest, build_parameter_sequence
 from .windowing import WindowBatch
@@ -125,18 +125,9 @@ class Deduplicator:
             seen.clear()
         seen[seq] = seen.get(seq, 0) + 1
 
-    def dedup(self, batch: WindowBatch,
-              keys: Optional[list[Optional[bytes]]] = None,
-              answered: Container[int] = frozenset()) -> DedupResult:
-        """Group one batch by key; representative = earliest arrival.
-
-        ``keys``, when given, are the requests' keys in batch order, built
-        by the caller at admission. A request whose id is in ``answered``
-        already has its reply: its key counts toward the duplicate ratio,
-        and it is neither looked up, nor sighted, nor grouped.
-        """
-        if keys is None:
-            keys = [self.key(req) for req in batch.requests]
+    def dedup(self, batch: WindowBatch) -> DedupResult:
+        """Group one batch by key; representative = earliest arrival."""
+        keys = [self.key(req) for req in batch.requests]
         representatives: list[SoapRequest] = []
         groups: dict[int, list[int]] = {}
         cache_hits: list[tuple[int, bytes]] = []
@@ -145,8 +136,6 @@ class Deduplicator:
         now = self.clock()
         for req, seq in zip(batch.requests, keys):
             rid = req.request_id
-            if rid in answered:
-                continue
             sequences[rid] = seq
             if seq is not None:  # None: always its own representative
                 if self.cache is not None:
@@ -178,11 +167,14 @@ class Deduplicator:
         stays counted after it is stored, so once its entry expires the
         next sighting caches it again.
         """
-        if self.cache is None:
-            return
-        now = self.clock()
         for rid, response in responses.items():
             seq = result.sequences.get(rid)
-            if (seq is not None
-                    and self._sightings.get(seq, 0) >= self.config.min_group_size):
-                self.cache.store(seq, response, now)
+            if seq is not None:
+                self.offer(seq, response)
+
+    def offer(self, seq: bytes, response: bytes) -> None:
+        """Cache a 200 reply for seq once seq has been seen at least
+        ``min_group_size`` times."""
+        if (self.cache is not None
+                and self._sightings.get(seq, 0) >= self.config.min_group_size):
+            self.cache.store(seq, response, self.clock())

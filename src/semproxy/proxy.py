@@ -10,25 +10,22 @@ lands within about half a millisecond of the end, either side. Each window
 runs in one mode, set by the gate's decision when the previous window
 closed; a mode can therefore change only at a window boundary.
 
-- Sem mode: the request's key is built at admission. If the cache holds a
-  live reply for it, that reply is written at once. Otherwise, if a
-  backend call for the key is in flight, the request joins that call.
-  Either way it is still counted in its window, so the gate sees every
-  key, but the window's close leaves it out of grouping, delivery and
-  caching. Any other request waits on its future. When the window closes,
-  its batch is grouped inline, and one task per batch forwards each
-  representative over a bounded pool of keep-alive backend connections.
-  As soon as a group's backend call completes, its reply bytes resolve the
-  future of every member and may enter the cache. A future can be
+- Sem mode: the request's key is built at admission, and the request is
+  answered without waiting for its window. A live cached reply is written
+  at once, and so is the 200 reply of a call its key made earlier in the
+  same window. Otherwise, if a backend call for the key is in flight, the
+  request joins it (single flight): its future is resolved with the
+  call's reply, or fault, when the call completes. A future can be
   resolved once, so every admitted request receives exactly one response.
-- Single flight: a representative whose key already has a backend call in
-  flight, started by an earlier window, makes no call of its own. Its
-  group joins that call's member list and gets the same reply, or the same
-  fault, when the call completes.
+  Any other request leads: its connection task calls the backend over a
+  bounded pool of keep-alive connections. So a key makes one backend call
+  per window, and one call in flight serves later windows too. The
+  window's close feeds the duplicate ratio of its keys to the gate and
+  forgets the replies of its calls.
 - Passthrough mode: the connection task forwards its request at once and
-  writes the backend's reply. The window only measures: when it closes,
-  the duplicate ratio of its keys goes to the gate, which needs it to
-  re-enter sem mode, and nothing is forwarded.
+  writes the backend's reply; nothing joins the call. The window only
+  measures: when it closes, the duplicate ratio of its keys goes to the
+  gate, which needs it to re-enter sem mode.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from typing import Optional
 
 from . import http11, soap
 from .config import ProxyConfig
-from .dedup import DedupConfig, DedupResult, Deduplicator, duplicate_ratio
+from .dedup import DedupConfig, Deduplicator, duplicate_ratio
 from .gate import AdaptiveGate, GateConfig, GateMode, GateObservation
 from .metrics import MetricsCollector, export_csv_path
 from .windowing import WindowBatch, WindowCollector
@@ -101,18 +98,20 @@ class SemProxy:
         self._pipeline_timeout_s = (
             cfg.request_timeout_s + cfg.window_ms / 250.0 + 2.0)
         self._ids = count(1)
-        # future of each admitted request whose client still waits for it
+        # future of each request joined to a call whose client still waits
         self._in_flight: dict[int, asyncio.Future] = {}
-        # key of each backend call in flight -> ids of the requests it answers
+        # requests awaiting the backend call they made
+        self._forwarding = 0
+        # key of each backend call in flight -> ids of the requests it
+        # answers, its own first
         self._pending: dict[bytes, list[int]] = {}
-        # key of each sem request in an open window, built at admission;
-        # both are emptied for a window's requests when it closes
+        # 200 reply of each key whose call completed in the open window
+        self._replies: dict[bytes, bytes] = {}
+        # key of each sem request in an open window, built at admission and
+        # popped when the window closes
         self._keys: dict[int, Optional[bytes]] = {}
-        # ids of those requests answered, or joined to a call, at admission
-        self._answered: set[int] = set()
         self._window_timer: Optional[asyncio.TimerHandle] = None
         self._snapshot_timer: Optional[asyncio.TimerHandle] = None
-        self._batch_tasks: set[asyncio.Task] = set()
         self._connections: set[asyncio.Task] = set()
         # writers of connections waiting for their next request
         self._idle_connections: set[asyncio.StreamWriter] = set()
@@ -165,7 +164,7 @@ class SemProxy:
         data["cache_entries"] = (
             len(self.deduper.cache) if self.deduper.cache is not None else 0)
         data["flushed_batches"] = self.collector.flushed_batches
-        data["in_flight"] = len(self._in_flight)
+        data["in_flight"] = len(self._in_flight) + self._forwarding
         data["stage_failures"] = self.stage_failures
         return data
 
@@ -198,9 +197,9 @@ class SemProxy:
         self.collector.flush(time.monotonic_ns() + self.collector.window_ns)
         self._drain_batches()
         # a request still being read is admitted later and closes its own
-        # window, so wait until every connection and batch has finished
-        while self._connections or self._batch_tasks:
-            await asyncio.wait(self._connections | self._batch_tasks)
+        # window, so wait until every connection has finished
+        while self._connections:
+            await asyncio.wait(self._connections)
         await self.backend.close()
         await self._server.wait_closed()
 
@@ -282,25 +281,52 @@ class SemProxy:
                 "Client", f"{type(exc).__name__}: {exc}"), False
         self.metrics.admitted += 1
         # admit closes every window that has ended, and _drain_batches
-        # processes it, which sets the mode of the window req is in. That
-        # window stays open until a later call, so req's key and future can
-        # be made after it.
+        # processes it, which sets the mode of the window req is in
         self.collector.admit(req, time.monotonic_ns())
         self._drain_batches()
         self._arm_window_timer()
-        if self._mode() is GateMode.PASSTHROUGH:
-            return await self._pass_through(req)
-        try:
-            cached = self._admit_sem(req)
-        except Exception:
-            log.exception("admitting request %d failed", rid)
-            self.stage_failures += 1
-            self._answered.add(rid)
-            return 500, _STAGE_FAULT, True
-        if cached is not None:
-            return 200, cached, True
-        future = self._loop.create_future()
-        self._in_flight[rid] = future
+        self.metrics.record_window_wait(0)
+        key = None
+        if self._mode() is GateMode.SEM:
+            try:
+                key = self._keys[rid] = self.deduper.key(req)
+                reply = self._reply_at_admission(key)
+            except Exception:
+                log.exception("admitting request %d failed", rid)
+                self.stage_failures += 1
+                return 500, _STAGE_FAULT, True
+            if reply is not None:
+                return 200, reply, True
+            members = self._pending.get(key)
+            if members is not None:
+                self.metrics.singleflight_joins += 1
+                return await self._join(rid, members)
+        return await self._forward(req, key)
+
+    def _reply_at_admission(self, key: Optional[bytes]) -> Optional[bytes]:
+        """A sem request's reply from the cache, or from the call its key
+        made in this window. A request the cache does not answer counts as
+        a sighting of its key."""
+        if key is None:  # never shares a reply
+            return None
+        cache = self.deduper.cache
+        if cache is not None:
+            cached = cache.lookup(key, self.deduper.clock())
+            if cached is not None:
+                self.metrics.record_cache(hits=1, misses=0)
+                return cached
+            self.deduper.sight(key)
+            self.metrics.record_cache(hits=0, misses=1)
+        reply = self._replies.get(key)
+        if reply is not None:
+            self._offer(key, reply)
+        return reply
+
+    async def _join(self, rid: int,
+                    members: list[int]) -> tuple[int, bytes, bool]:
+        """Await the reply of the backend call in flight for rid's key."""
+        future = self._in_flight[rid] = self._loop.create_future()
+        members.append(rid)
         try:
             async with asyncio.timeout(self._pipeline_timeout_s):
                 status, body = await future
@@ -312,48 +338,66 @@ class SemProxy:
         finally:
             del self._in_flight[rid]
 
-    def _admit_sem(self, req: soap.SoapRequest) -> Optional[bytes]:
-        """Build a sem request's key, then answer it from the cache or join
-        the backend call in flight for its key. Returns the cached reply,
-        or None while the request awaits its future."""
-        rid = req.request_id
-        key = self._keys[rid] = self.deduper.key(req)
-        if key is None:  # never shares a reply
-            return None
-        cache = self.deduper.cache
-        if cache is not None:
-            cached = cache.lookup(key, self.deduper.clock())
-            if cached is not None:
-                self._answered.add(rid)
-                self.metrics.record_cache(hits=1, misses=0)
-                self.metrics.record_window_wait(0)
-                return cached
-        members = self._pending.get(key)
-        if members is not None:
-            if cache is not None:  # a miss, as its window would count it
-                self.deduper.sight(key)
-                self.metrics.record_cache(hits=0, misses=1)
-            self.metrics.singleflight_joins += 1
-            self.metrics.record_window_wait(0)
-            self._answered.add(rid)
-            members.append(rid)
-        return None
-
-    async def _pass_through(
-            self, req: soap.SoapRequest) -> tuple[int, bytes, bool]:
-        """Forward one request at once; its window only counts its key."""
-        self.metrics.record_window_wait(0)
+    async def _forward(self, req: soap.SoapRequest,
+                       key: Optional[bytes]) -> tuple[int, bytes, bool]:
+        """Call the backend for req. Requests that join the call while it
+        is in flight get the same reply; once it has completed with a 200,
+        so do the rest of its window's requests for the key. A None key
+        never shares its call."""
+        members = [req.request_id]
+        window = self.collector.flushed_batches
+        if key is not None:
+            self._pending[key] = members
+        self._forwarding += 1
+        status, body = 504, _TIMEOUT_FAULT  # unless the call completes
         try:
             async with asyncio.timeout(self._pipeline_timeout_s):
                 status, body = await self._call_backend(req)
         except TimeoutError:
             self.metrics.faults += 1
-            return 504, _TIMEOUT_FAULT, True
         except Exception:
             log.exception("forwarding request %d failed", req.request_id)
             self.stage_failures += 1
-            return 500, _STAGE_FAULT, True
+            status, body = 500, _STAGE_FAULT
+        finally:
+            self._forwarding -= 1
+            if key is not None:
+                del self._pending[key]
+                for rid in members[1:]:
+                    self._deliver(rid, status, body)
+        if key is not None and status == 200:
+            if window == self.collector.flushed_batches:  # still open
+                self._replies[key] = body
+            self._offer(key, body)
         return status, body, True
+
+    def _offer(self, key: bytes, body: bytes) -> None:
+        try:
+            self.deduper.offer(key, body)
+        except Exception:
+            log.exception("caching a reply failed")
+            self.stage_failures += 1
+
+    async def _call_backend(self, req: soap.SoapRequest) -> tuple[int, bytes]:
+        self.metrics.record_backend_call()
+        t0 = time.monotonic_ns()
+        try:
+            status, body = await self.backend.post(
+                req.raw_envelope, req.operation.encode())
+        except http11.POST_ERRORS as exc:
+            return 502, soap.build_fault(
+                "Server.Unavailable", f"backend error: {type(exc).__name__}")
+        self.gate.note_service_time(time.monotonic_ns() - t0)
+        return status, body
+
+    def _deliver(self, request_id: int, status: int, body: bytes) -> None:
+        future = self._in_flight.get(request_id)
+        if future is None:  # its client stopped waiting
+            self.metrics.dropped_disconnects += 1
+        elif future.done():
+            self.metrics.duplicate_deliveries += 1
+        else:
+            future.set_result((status, body))
 
     # -------------------------------------------------------------- windowing
 
@@ -379,53 +423,29 @@ class SemProxy:
         out = self.collector.out_queue
         while not out.empty():
             batch = out.get_nowait()
-            mode = self._mode()
-            keys, answered = None, set()
-            if mode is GateMode.SEM:
-                keys = [self._keys.pop(r.request_id, None)
-                        for r in batch.requests]
-                answered = {r.request_id for r in batch.requests
-                            if r.request_id in self._answered}
-                self._answered -= answered
+            self._replies.clear()
             try:
-                self._process_batch(batch, mode, keys, answered)
+                self._measure(batch)
             except Exception:
+                # every request was forwarded or answered at admission
                 log.exception("batch %d failed", batch.batch_id)
                 self.stage_failures += 1
-                if mode is GateMode.SEM:
-                    # passthrough requests were forwarded at admission and
-                    # may have been answered already, as may sem requests
-                    # answered at admission
-                    self._fail([r.request_id for r in batch.requests
-                                if r.request_id not in answered])
-
-    # ------------------------------------------------------------ batch stage
 
     def _mode(self) -> GateMode:
         """Mode of the open window: the forced one, else the gate's
         decision when the previous window closed."""
         return self._forced_mode or self.gate.mode
 
-    def _process_batch(self, batch: WindowBatch, mode: GateMode,
-                       keys: Optional[list[Optional[bytes]]],
-                       answered: set[int]) -> None:
-        """Group (sem) or measure (passthrough) one closed window, feed its
-        duplicate ratio to the gate, and set the next window's mode.
-
-        In sem mode ``keys`` are the keys built at admission, and the
-        requests in ``answered`` count only toward the ratio."""
-        if mode is GateMode.SEM:
-            pull = time.monotonic_ns()
-            for req in batch.requests:
-                if req.request_id not in answered:
-                    self.metrics.record_window_wait(pull - req.arrival_time)
+    def _measure(self, batch: WindowBatch) -> None:
+        """Feed one closed window's duplicate ratio to the gate and set the
+        next window's mode. A sem window reads the keys built at
+        admission."""
         t0 = time.monotonic_ns()
-        if mode is GateMode.SEM:
-            result = self.deduper.dedup(batch, keys, answered)
-            ratio = result.duplicate_ratio
-        else:  # the same ratio as sem mode, so the gate can re-enter it
-            ratio = duplicate_ratio(
-                [self.deduper.key(req) for req in batch.requests])
+        if self._mode() is GateMode.SEM:
+            keys = [self._keys.pop(r.request_id, None) for r in batch.requests]
+        else:
+            keys = [self.deduper.key(req) for req in batch.requests]
+        ratio = duplicate_ratio(keys)
         analysis_ns = time.monotonic_ns() - t0
         self.gate.observe(GateObservation(
             batch_id=batch.batch_id,
@@ -436,87 +456,6 @@ class SemProxy:
         if self._forced_mode is None:
             self.metrics.set_gate_mode(self.gate.decide().mode.value)
         self.metrics.record_batch(ratio)
-        if mode is GateMode.PASSTHROUGH:
-            return
-        if self.deduper.cache is not None:
-            self.metrics.record_cache(
-                hits=len(result.cache_hits),
-                misses=len(result.sequences) - len(result.cache_hits))
-        for rid, cached in result.cache_hits:
-            self._deliver(rid, 200, cached)
-        if result.representatives:
-            task = self._loop.create_task(self._forward_batch(result))
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
-
-    # ------------------------------------------------------ forward + fan-out
-
-    async def _call_backend(self, req: soap.SoapRequest) -> tuple[int, bytes]:
-        self.metrics.record_backend_call()
-        t0 = time.monotonic_ns()
-        try:
-            status, body = await self.backend.post(
-                req.raw_envelope, req.operation.encode())
-        except http11.POST_ERRORS as exc:
-            return 502, soap.build_fault(
-                "Server.Unavailable", f"backend error: {type(exc).__name__}")
-        self.gate.note_service_time(time.monotonic_ns() - t0)
-        return status, body
-
-    async def _forward_batch(self, result: DedupResult) -> None:
-        """Forward each representative, or join the call in flight for its
-        key; fan out, and cache, each call's reply as soon as it completes."""
-        async def forward_group(rep: soap.SoapRequest) -> None:
-            members = [rep.request_id, *result.groups.get(rep.request_id, ())]
-            key = result.sequences.get(rep.request_id)
-            if key is not None:  # None: never shares a call
-                joined = self._pending.get(key)
-                if joined is not None:
-                    joined.extend(members)
-                    self.metrics.singleflight_joins += 1
-                    return
-                # members grows as later windows join this call
-                self._pending[key] = members
-            try:
-                status, body = await self._call_backend(rep)
-            except Exception:
-                log.exception("forwarding request %d failed", rep.request_id)
-                self.stage_failures += 1
-                self._fail(members)
-                return
-            finally:
-                if key is not None:
-                    del self._pending[key]
-            for rid in members:
-                self._deliver(rid, status, body)
-            if status == 200 and self.deduper.cache is not None:
-                try:
-                    self.deduper.cache_store(result, {rep.request_id: body})
-                except Exception:
-                    log.exception("caching request %d failed", rep.request_id)
-                    self.stage_failures += 1
-
-        reps = result.representatives
-        if len(reps) == 1:
-            await forward_group(reps[0])
-        else:
-            await asyncio.gather(*(forward_group(rep) for rep in reps))
-
-    def _deliver(self, request_id: int, status: int, body: bytes) -> None:
-        future = self._in_flight.get(request_id)
-        if future is None:  # its client stopped waiting
-            self.metrics.dropped_disconnects += 1
-        elif future.done():
-            self.metrics.duplicate_deliveries += 1
-        else:
-            future.set_result((status, body))
-
-    def _fail(self, request_ids: list[int]) -> None:
-        """Answer every request of a failed stage that has no reply yet."""
-        for rid in request_ids:
-            future = self._in_flight.get(rid)
-            if future is None or not future.done():
-                self._deliver(rid, 500, _STAGE_FAULT)
 
 
 def serve(listen_addr: tuple[str, int], config: ProxyConfig) -> SemProxy:

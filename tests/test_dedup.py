@@ -92,18 +92,6 @@ class TestDedup:
         assert [r.request_id for r in result.representatives] == [2]
         assert result.duplicate_ratio == 1 / 3  # the second hot key repeats
 
-    def test_answered_requests_count_only_toward_the_ratio(self):
-        d = Deduplicator(DedupConfig(cache_enabled=True, cache_ttl_ms=10_000),
-                         clock=lambda: 0)
-        requests = [req(1, ["hot"]), req(2, ["hot"]), req(3, ["hot"])]
-        keys = [build_parameter_sequence(r) for r in requests]
-        result = d.dedup(batch(requests), keys, answered={1})
-        assert [r.request_id for r in result.representatives] == [2]
-        assert result.groups == {2: [3]}
-        assert 1 not in result.sequences
-        assert result.duplicate_ratio == 2 / 3
-        assert d._sightings == {keys[0]: 2}
-
 
 class TestResponseCache:
     def test_lookup_within_ttl(self):

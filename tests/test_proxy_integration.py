@@ -38,6 +38,13 @@ def posts_from_callers(url, bodies, callers=8):
         return [c for part in ex.map(caller, shares) for c in part]
 
 
+def sleep_to_window_start(proxy, margin_s=0.002):
+    """Sleep until just after the proxy's next window opens."""
+    epoch, period = proxy.collector._epoch, proxy.collector.window_ns
+    now = time.monotonic_ns()
+    time.sleep((period - (now - epoch) % period) / 1e9 + margin_s)
+
+
 def concurrent_post(url, bodies, workers=None):
     def call(body):
         with requests.Session() as s:
@@ -122,6 +129,38 @@ class TestCoalescing:
             assert {s for s, _ in results} == {200}
             assert len({c for _, c in results}) == 40
             assert backend_calls(fast_backend) == 40
+            assert_exactly_once(proxy)
+
+    def test_sequential_posts_in_one_window_share_one_call(self,
+                                                           fast_backend):
+        # each post's call completes before the next post arrives; its
+        # reply serves the rest of the window, and no post waits for it
+        cfg = ProxyConfig(window_ms=2000, force_mode="sem")
+        body = soap.build_request_envelope("Search", ["same"])
+        with running_proxy(fast_backend, cfg) as proxy:
+            with requests.Session() as s:
+                sleep_to_window_start(proxy, margin_s=0.01)
+                replies = [s.post(url_of(proxy), data=body, timeout=10)
+                           for _ in range(5)]
+                assert [r.status_code for r in replies] == [200] * 5
+                assert len({r.content for r in replies}) == 1
+                assert backend_calls(fast_backend) == 1
+                sleep_to_window_start(proxy, margin_s=0.01)
+                later = s.post(url_of(proxy), data=body, timeout=10)
+                assert later.status_code == 200
+                assert backend_calls(fast_backend) == 2
+            assert proxy_health(proxy)["window_wait_p95_ms"] <= 0.05
+            assert_exactly_once(proxy)
+
+    def test_idle_sem_proxy_answers_without_waiting(self, fast_backend):
+        cfg = ProxyConfig(window_ms=1000, force_mode="sem")
+        with running_proxy(fast_backend, cfg) as proxy:
+            sleep_to_window_start(proxy)
+            t0 = time.monotonic()
+            resp = post(url_of(proxy), soap.build_request_envelope(
+                "Search", ["lone"]))
+            assert time.monotonic() - t0 < 0.25
+            assert resp.status_code == 200
             assert_exactly_once(proxy)
 
     def test_fan_out_byte_identity(self, fast_backend):
@@ -274,9 +313,7 @@ class TestGateIntegration:
             """Send bodies on open keep-alive connections just after a
             window starts, so they all land in that window; return once
             the window has closed."""
-            epoch, period = proxy.collector._epoch, proxy.collector.window_ns
-            now = time.monotonic_ns()
-            time.sleep((period - (now - epoch) % period) / 1e9 + 0.002)
+            sleep_to_window_start(proxy)
             for conn, body in zip(conns, bodies):
                 conn.request("POST", "/", body,
                              {"Content-Type": "text/xml; charset=utf-8"})
@@ -406,8 +443,7 @@ class TestDeliveryState:
             assert health["admitted"] == health["delivered"] == 500
             assert_exactly_once(proxy)
 
-    @pytest.mark.parametrize("stage", ["deduper.dedup", "backend.post",
-                                       "deduper.key"])
+    @pytest.mark.parametrize("stage", ["backend.post", "deduper.key"])
     def test_stage_exception_faults_every_member_at_once(self, fast_backend,
                                                          stage):
         def broken(*args):
@@ -457,10 +493,10 @@ class TestDeliveryState:
             assert proxy_health(proxy)["in_flight"] == 0
             assert_exactly_once(proxy)
 
-    def test_stop_answers_in_flight_and_closes_connections(self, fast_backend):
+    def test_stop_answers_in_flight_and_closes_connections(self, slow_backend):
         from semproxy import proxy as px
         cfg = ProxyConfig(window_ms=300, force_mode="sem")
-        cfg.backend_url = url_of(fast_backend)
+        cfg.backend_url = url_of(slow_backend)
         proxy = px.serve(("127.0.0.1", 0), cfg)
         idle = socket.create_connection(proxy.address, timeout=5)
         replies = []
@@ -491,7 +527,7 @@ def pending_sizes(proxy):
 def admission_marks(proxy):
     """Sizes of the proxy's per-request admission state, read on the loop."""
     async def read():
-        return len(proxy._keys), len(proxy._answered)
+        return len(proxy._keys), len(proxy._replies)
     return asyncio.run_coroutine_threadsafe(read(), proxy._loop).result(5)
 
 
@@ -512,8 +548,8 @@ def slow_backend():
 
 
 class TestSingleFlight:
-    """A group whose key has a backend call in flight, started by an
-    earlier window, joins that call instead of making its own."""
+    """A request whose key has a backend call in flight, started in its
+    window or an earlier one, joins that call instead of making its own."""
 
     @pytest.fixture(autouse=True)
     def background(self):
@@ -554,6 +590,19 @@ class TestSingleFlight:
             assert proxy_health(proxy)["singleflight_joins"] == 1
             assert_exactly_once(proxy)
 
+    def test_reply_that_outlived_its_window_is_not_reused(self, slow_backend):
+        # the call completes after its window closed, so a post made after
+        # it, into an idle proxy, must not get its aging reply
+        cfg = ProxyConfig(window_ms=20, force_mode="sem")
+        body = soap.build_request_envelope("Search", ["hot"])
+        with running_proxy(slow_backend, cfg) as proxy:
+            assert post(url_of(proxy), body).status_code == 200
+            time.sleep(0.2)
+            assert post(url_of(proxy), body).status_code == 200
+            assert backend_calls(slow_backend) == 2
+            assert admission_marks(proxy)[1] == 0
+            assert_exactly_once(proxy)
+
     def test_denylisted_operation_never_joins(self, slow_backend):
         cfg = ProxyConfig(window_ms=20, force_mode="sem",
                           operation_denylist=["Search"])
@@ -591,6 +640,36 @@ class TestSingleFlight:
             assert health["stage_failures"] == 1
             assert health["in_flight"] == 0
             assert pending_sizes(proxy) == []
+            assert_exactly_once(proxy)
+
+    def test_non_200_reply_reaches_joiners_but_is_not_reused(
+            self, fast_backend):
+        calls = []
+
+        async def slow_error(*args):
+            calls.append(args)
+            await asyncio.sleep(0.3)
+            return 500, b"backend fault %d" % len(calls)
+
+        cfg = ProxyConfig(window_ms=2000, force_mode="sem")
+        body = soap.build_request_envelope("Search", ["hot"])
+        with running_proxy(fast_backend, cfg) as proxy:
+            proxy.backend.post = slow_error
+            sleep_to_window_start(proxy)
+            windows = proxy.collector.flushed_batches
+            first = self.in_background(post, url_of(proxy), body)
+            wait_for(lambda: pending_sizes(proxy) == [1])
+            joiners = concurrent_post(url_of(proxy), [body] * 2)
+            results = [(first.result(timeout=10).status_code,
+                        first.result().content), *joiners]
+            assert results == [(500, b"backend fault 1")] * 3
+            # the same window: a failed reply is not reused
+            later = post(url_of(proxy), body)
+            assert (later.status_code, later.content) == (
+                500, b"backend fault 2")
+            assert proxy.collector.flushed_batches == windows
+            assert len(calls) == 2
+            assert proxy_health(proxy)["singleflight_joins"] == 2
             assert_exactly_once(proxy)
 
     def test_joiner_whose_client_left_counts_as_dropped(self, slow_backend):
