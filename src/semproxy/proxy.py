@@ -12,20 +12,22 @@ closed; a mode can therefore change only at a window boundary.
 
 - Sem mode: the request's key is built at admission, and the request is
   answered without waiting for its window. A live cached reply is written
-  at once, and so is the 200 reply of a call its key made earlier in the
-  same window. Otherwise, if a backend call for the key is in flight, the
-  request joins it (single flight): its future is resolved with the
-  call's reply, or fault, when the call completes. A future can be
-  resolved once, so every admitted request receives exactly one response.
-  Any other request leads: its connection task calls the backend over a
-  bounded pool of keep-alive connections. So a key makes one backend call
-  per window, and one call in flight serves later windows too. The
-  window's close feeds the duplicate ratio of its keys to the gate and
-  forgets the replies of its calls.
+  at once. Otherwise ``_calls`` holds one ``_Call`` per key. A request that
+  finds none leads: its connection task calls the backend over a bounded
+  pool of keep-alive connections and resolves the call's future once, with
+  the reply or fault. A request that finds the call in flight joins it
+  (single flight) and awaits the future through ``asyncio.shield``, so a
+  joiner that stops waiting cannot cancel it for the others. A 200 reply
+  is reused until ``expires_at``, the end of its leader's window, and that
+  window's close drops it. So a key makes one backend call per window,
+  and one call in flight serves later windows too.
 - Passthrough mode: the connection task forwards its request at once and
   writes the backend's reply; nothing joins the call. The window only
   measures: when it closes, the duplicate ratio of its keys goes to the
   gate, which needs it to re-enter sem mode.
+
+A client that closed its connection before its reply was ready gets none
+and counts in ``dropped_disconnects``, as does a joiner that times out.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import threading
 import time
 from collections import deque
 from itertools import count
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import http11, soap
 from .config import ProxyConfig
@@ -59,6 +61,13 @@ _TIMER_LEAD_NS = 500_000
 log = logging.getLogger(__name__)
 
 
+class _Call(NamedTuple):
+    """One backend call of a key: a future of its (status, body), and the
+    end of its leader's window, when reuse of its reply ends."""
+    future: asyncio.Future
+    expires_at: int
+
+
 class SemProxy:
     def __init__(self, listen_addr: tuple[str, int], config: ProxyConfig = None):
         self.config = config or ProxyConfig()
@@ -68,9 +77,7 @@ class SemProxy:
         # it never holds more than one
         self.collector = WindowCollector(
             window_ns=int(cfg.window_ms * 1e6),
-            max_batch_size=cfg.max_batch_size,
-            queue_depth=0,
-        )
+            max_batch_size=cfg.max_batch_size, queue_depth=0)
         self.deduper = Deduplicator(
             DedupConfig(
                 cache_enabled=cfg.cache_enabled,
@@ -98,15 +105,10 @@ class SemProxy:
         self._pipeline_timeout_s = (
             cfg.request_timeout_s + cfg.window_ms / 250.0 + 2.0)
         self._ids = count(1)
-        # future of each request joined to a call whose client still waits
-        self._in_flight: dict[int, asyncio.Future] = {}
-        # requests awaiting the backend call they made
-        self._forwarding = 0
-        # key of each backend call in flight -> ids of the requests it
-        # answers, its own first
-        self._pending: dict[bytes, list[int]] = {}
-        # 200 reply of each key whose call completed in the open window
-        self._replies: dict[bytes, bytes] = {}
+        # requests awaiting a backend call, their own or one they joined
+        self._waiting = 0
+        # each key's call in flight, or its 200 reply reusable until expiry
+        self._calls: dict[bytes, _Call] = {}
         # key of each sem request in an open window, built at admission and
         # popped when the window closes
         self._keys: dict[int, Optional[bytes]] = {}
@@ -136,8 +138,7 @@ class SemProxy:
         """Graceful shutdown: stop accepting, close the open window, answer
         every request in flight, then close client and backend connections."""
         if self._thread.is_alive():
-            bound = (self._pipeline_timeout_s + self.config.connect_timeout_s
-                     + 5.0)
+            bound = self._pipeline_timeout_s + self.config.connect_timeout_s + 5
             done = asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop)
             try:
                 done.result(timeout=bound)
@@ -164,7 +165,7 @@ class SemProxy:
         data["cache_entries"] = (
             len(self.deduper.cache) if self.deduper.cache is not None else 0)
         data["flushed_batches"] = self.collector.flushed_batches
-        data["in_flight"] = len(self._in_flight) + self._forwarding
+        data["in_flight"] = self._waiting
         data["stage_failures"] = self.stage_failures
         return data
 
@@ -239,6 +240,9 @@ class SemProxy:
                     status, body, admitted = await self._handle_soap(
                         request.body, arrival)
                     ctype = _XML
+                    if admitted and reader.at_eof():  # the client left
+                        self.metrics.dropped_disconnects += 1
+                        return
                 else:
                     status, body, ctype = self._handle_other(request)
                 try:
@@ -282,7 +286,9 @@ class SemProxy:
         self.metrics.admitted += 1
         # admit closes every window that has ended, and _drain_batches
         # processes it, which sets the mode of the window req is in
-        self.collector.admit(req, time.monotonic_ns())
+        now = time.monotonic_ns()
+        self.collector.admit(req, now)
+        window_end = self.collector.open_window_end
         self._drain_batches()
         self._arm_window_timer()
         self.metrics.record_window_wait(0)
@@ -290,65 +296,63 @@ class SemProxy:
         if self._mode() is GateMode.SEM:
             try:
                 key = self._keys[rid] = self.deduper.key(req)
-                reply = self._reply_at_admission(key)
+                reply = self._cached(key)
             except Exception:
                 log.exception("admitting request %d failed", rid)
                 self.stage_failures += 1
                 return 500, _STAGE_FAULT, True
             if reply is not None:
                 return 200, reply, True
-            members = self._pending.get(key)
-            if members is not None:
-                self.metrics.singleflight_joins += 1
-                return await self._join(rid, members)
-        return await self._forward(req, key)
+            call = self._calls.get(key)  # a None key never has one
+            if call is not None:
+                if not call.future.done():
+                    self.metrics.singleflight_joins += 1
+                    return await self._join(call)
+                if now < call.expires_at:  # a done entry holds a 200
+                    reply = call.future.result()[1]
+                    self._offer(key, reply)
+                    return 200, reply, True
+        return await self._forward(req, key, window_end)
 
-    def _reply_at_admission(self, key: Optional[bytes]) -> Optional[bytes]:
-        """A sem request's reply from the cache, or from the call its key
-        made in this window. A request the cache does not answer counts as
-        a sighting of its key."""
-        if key is None:  # never shares a reply
-            return None
+    def _cached(self, key: Optional[bytes]) -> Optional[bytes]:
+        """A sem request's live cached reply. A request the cache does not
+        answer counts as a sighting of its key."""
         cache = self.deduper.cache
-        if cache is not None:
-            cached = cache.lookup(key, self.deduper.clock())
-            if cached is not None:
-                self.metrics.record_cache(hits=1, misses=0)
-                return cached
-            self.deduper.sight(key)
-            self.metrics.record_cache(hits=0, misses=1)
-        reply = self._replies.get(key)
-        if reply is not None:
-            self._offer(key, reply)
-        return reply
+        if key is None or cache is None:
+            return None
+        cached = cache.lookup(key, self.deduper.clock())
+        if cached is not None:
+            self.metrics.record_cache(hits=1, misses=0)
+            return cached
+        self.deduper.sight(key)
+        self.metrics.record_cache(hits=0, misses=1)
+        return None
 
-    async def _join(self, rid: int,
-                    members: list[int]) -> tuple[int, bytes, bool]:
-        """Await the reply of the backend call in flight for rid's key."""
-        future = self._in_flight[rid] = self._loop.create_future()
-        members.append(rid)
+    async def _join(self, call: _Call) -> tuple[int, bytes, bool]:
+        """Await the reply of a backend call in flight. A joiner that times
+        out gets no reply of the call, so it counts as dropped."""
+        self._waiting += 1
         try:
             async with asyncio.timeout(self._pipeline_timeout_s):
-                status, body = await future
+                status, body = await asyncio.shield(call.future)
             return status, body, True
         except TimeoutError:
-            # a reply that comes later finds no client: dropped_disconnects
             self.metrics.faults += 1
+            self.metrics.dropped_disconnects += 1
             return 504, _TIMEOUT_FAULT, False
         finally:
-            del self._in_flight[rid]
+            self._waiting -= 1
 
-    async def _forward(self, req: soap.SoapRequest,
-                       key: Optional[bytes]) -> tuple[int, bytes, bool]:
-        """Call the backend for req. Requests that join the call while it
-        is in flight get the same reply; once it has completed with a 200,
-        so do the rest of its window's requests for the key. A None key
-        never shares its call."""
-        members = [req.request_id]
-        window = self.collector.flushed_batches
+    async def _forward(self, req: soap.SoapRequest, key: Optional[bytes],
+                       window_end: int) -> tuple[int, bytes, bool]:
+        """Call the backend for req. Joiners of the call get its reply, and
+        after a 200 so do requests for key admitted before window_end, the
+        end of req's window. A None key never shares its call."""
+        call = None
         if key is not None:
-            self._pending[key] = members
-        self._forwarding += 1
+            call = self._calls[key] = _Call(
+                self._loop.create_future(), window_end)
+        self._waiting += 1
         status, body = 504, _TIMEOUT_FAULT  # unless the call completes
         try:
             async with asyncio.timeout(self._pipeline_timeout_s):
@@ -360,14 +364,14 @@ class SemProxy:
             self.stage_failures += 1
             status, body = 500, _STAGE_FAULT
         finally:
-            self._forwarding -= 1
-            if key is not None:
-                del self._pending[key]
-                for rid in members[1:]:
-                    self._deliver(rid, status, body)
-        if key is not None and status == 200:
-            if window == self.collector.flushed_batches:  # still open
-                self._replies[key] = body
+            self._waiting -= 1
+            if call is not None:
+                call.future.set_result((status, body))
+                # reusable only while its window is open, whose close drops it
+                if (status != 200
+                        or self.collector.open_window_end != window_end):
+                    del self._calls[key]
+        if call is not None and status == 200:
             self._offer(key, body)
         return status, body, True
 
@@ -389,15 +393,6 @@ class SemProxy:
                 "Server.Unavailable", f"backend error: {type(exc).__name__}")
         self.gate.note_service_time(time.monotonic_ns() - t0)
         return status, body
-
-    def _deliver(self, request_id: int, status: int, body: bytes) -> None:
-        future = self._in_flight.get(request_id)
-        if future is None:  # its client stopped waiting
-            self.metrics.dropped_disconnects += 1
-        elif future.done():
-            self.metrics.duplicate_deliveries += 1
-        else:
-            future.set_result((status, body))
 
     # -------------------------------------------------------------- windowing
 
@@ -423,7 +418,10 @@ class SemProxy:
         out = self.collector.out_queue
         while not out.empty():
             batch = out.get_nowait()
-            self._replies.clear()
+            end = batch.window_end
+            # the replies reusable in the closed window leave
+            self._calls = {k: c for k, c in self._calls.items()
+                           if not c.future.done() or c.expires_at > end}
             try:
                 self._measure(batch)
             except Exception:

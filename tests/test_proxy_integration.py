@@ -152,6 +152,22 @@ class TestCoalescing:
             assert proxy_health(proxy)["window_wait_p95_ms"] <= 0.05
             assert_exactly_once(proxy)
 
+    def test_early_flush_at_max_batch_size_keeps_reuse(self, fast_backend):
+        # the third post closes its window's batch early, yet lands in the
+        # same window, whose end alone ends the reuse of the first reply
+        cfg = ProxyConfig(window_ms=2000, max_batch_size=2, force_mode="sem")
+        body = soap.build_request_envelope("Search", ["same"])
+        with running_proxy(fast_backend, cfg) as proxy:
+            with requests.Session() as s:
+                sleep_to_window_start(proxy, margin_s=0.01)
+                replies = [s.post(url_of(proxy), data=body, timeout=10)
+                           for _ in range(3)]
+            assert [r.status_code for r in replies] == [200] * 3
+            assert len({r.content for r in replies}) == 1
+            assert proxy.collector.flushed_batches == 1
+            assert backend_calls(fast_backend) == 1
+            assert_exactly_once(proxy)
+
     def test_idle_sem_proxy_answers_without_waiting(self, fast_backend):
         cfg = ProxyConfig(window_ms=1000, force_mode="sem")
         with running_proxy(fast_backend, cfg) as proxy:
@@ -493,6 +509,29 @@ class TestDeliveryState:
             assert proxy_health(proxy)["in_flight"] == 0
             assert_exactly_once(proxy)
 
+    @pytest.mark.parametrize("mode", ["sem", "passthrough"])
+    def test_client_that_closed_while_waiting_counts_as_dropped(
+            self, slow_backend, mode):
+        cfg = ProxyConfig(window_ms=20, force_mode=mode)
+        body = soap.build_request_envelope("Search", ["x"])
+        with running_proxy(slow_backend, cfg) as proxy:
+            with socket.create_connection(proxy.address, timeout=5) as gone:
+                gone.sendall(b"POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                             % (len(body), body))
+                time.sleep(0.05)
+            # closed with a FIN while the backend call is in flight
+
+            def answered():
+                health = proxy.health()
+                return health["delivered"] + health["dropped_disconnects"]
+            wait_for(lambda: answered() == 1)
+            health = proxy_health(proxy)
+            assert health["admitted"] == 1
+            assert health["dropped_disconnects"] == 1
+            assert health["delivered"] == 0
+            assert backend_calls(slow_backend) == 1
+            assert_exactly_once(proxy)
+
     def test_stop_answers_in_flight_and_closes_connections(self, slow_backend):
         from semproxy import proxy as px
         cfg = ProxyConfig(window_ms=300, force_mode="sem")
@@ -518,16 +557,21 @@ class TestDeliveryState:
 
 
 def pending_sizes(proxy):
-    """Member count of each backend call in flight, read on the loop."""
+    """Member count of each backend call in flight, read on the loop: its
+    leader, plus one joiner per done callback on the call's future, which
+    each joiner's ``asyncio.shield`` adds and removes when it stops
+    waiting."""
     async def read():
-        return [len(members) for members in proxy._pending.values()]
+        return [1 + len(call.future._callbacks or ())
+                for call in proxy._calls.values() if not call.future.done()]
     return asyncio.run_coroutine_threadsafe(read(), proxy._loop).result(5)
 
 
 def admission_marks(proxy):
-    """Sizes of the proxy's per-request admission state, read on the loop."""
+    """Sizes of the proxy's per-request admission state and of its map of
+    calls in flight and reusable replies, read on the loop."""
     async def read():
-        return len(proxy._keys), len(proxy._replies)
+        return len(proxy._keys), len(proxy._calls)
     return asyncio.run_coroutine_threadsafe(read(), proxy._loop).result(5)
 
 
@@ -694,6 +738,31 @@ class TestSingleFlight:
             assert backend_calls(slow_backend) == 1
             assert_exactly_once(proxy)
 
+    def test_joiner_that_times_out_leaves_the_call_to_the_others(self):
+        body = soap.build_request_envelope("Search", ["hot"])
+        with running_backend(MockBackendConfig(
+                compute_delay_ms=600, rows_per_response=5,
+                per_row_serialize_cost_us=10)) as backend:
+            cfg = ProxyConfig(window_ms=20, force_mode="sem")
+            with running_proxy(backend, cfg) as proxy:
+                first = self.in_background(post, url_of(proxy), body)
+                wait_for(lambda: pending_sizes(proxy) == [1])
+                joiner = self.in_background(post, url_of(proxy), body)
+                wait_for(lambda: pending_sizes(proxy) == [2])
+                proxy._pipeline_timeout_s = 0.1  # the next joiner's bound
+                late = post(url_of(proxy), body)
+                assert late.status_code == 504
+                assert pending_sizes(proxy) == [2]
+                assert first.result(timeout=10).status_code == 200
+                assert joiner.result(timeout=10).status_code == 200
+                assert first.result().content == joiner.result().content
+                assert backend_calls(backend) == 1
+                health = proxy_health(proxy)
+                assert health["singleflight_joins"] == 2
+                assert health["dropped_disconnects"] == 1
+                assert health["delivered"] == 2
+                assert_exactly_once(proxy)
+
     def test_stop_mid_flight_answers_every_joiner(self, slow_backend):
         from semproxy import proxy as px
         cfg = ProxyConfig(window_ms=20, force_mode="sem")
@@ -713,7 +782,25 @@ class TestSingleFlight:
         assert [s for s, _ in results] == [200] * 3
         assert backend_calls(slow_backend) == 1
         assert proxy.health()["singleflight_joins"] >= 1
-        assert proxy._pending == {}
+        assert proxy._calls == {}
+
+    def test_window_close_forgets_the_replies_it_reused(self, fast_backend):
+        # each call completes inside its window, so only the window's close
+        # takes its reply out of the map
+        cfg = ProxyConfig(window_ms=200, force_mode="sem")
+        bodies = [soap.build_request_envelope("Search", [f"k{i}"])
+                  for i in range(3)]
+        with running_proxy(fast_backend, cfg) as proxy:
+            with requests.Session() as s:
+                sleep_to_window_start(proxy, margin_s=0.01)
+                for body in bodies * 2:
+                    assert s.post(url_of(proxy), data=body,
+                                  timeout=10).status_code == 200
+                assert backend_calls(fast_backend) == 3
+                assert admission_marks(proxy)[1] == 3
+                time.sleep(0.3)  # past the window's end
+                assert admission_marks(proxy) == (0, 0)
+            assert_exactly_once(proxy)
 
     def test_hot_run_leaves_nothing_pending(self):
         health = self.hot_run(cache_enabled=False)
