@@ -1,8 +1,9 @@
 """semproxy: a request-coalescing reverse proxy for SOAP web services.
 
-Concurrent requests are batched into short time windows, grouped by a key
-built from their call-parameter sequences, and one serialized backend
-response is fanned out to every identical request in the window.
+Requests are grouped by a key built from their call-parameter sequences,
+and one serialized backend response is fanned out to every identical
+request that arrives while its call is in flight or within its short time
+window.
 """
 
 from .config import ProxyConfig

@@ -1,7 +1,8 @@
 """Batch grouping and the persistent hot-response cache.
 
 ``Deduplicator.key`` is the one place that decides a request's grouping
-key, and ``duplicate_ratio`` measures a window's keys for the gate.
+key; the proxy builds it at admission. ``duplicate_ratio`` measures a
+batch's keys for the adaptive gate, which the proxy does not run.
 ``Deduplicator.dedup`` groups a whole batch through a dict on that key: one
 representative per distinct key, every other member in its group. A key
 that repeats across windows may additionally be kept in a persistent LRU

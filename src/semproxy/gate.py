@@ -6,6 +6,10 @@ ratio EWMA clears enter_threshold and left when it drops under
 exit_threshold; inside the hysteresis band the previous mode sticks.
 Analysis overhead above a fraction of mean backend service time forces
 passthrough regardless of ratio.
+
+The proxy does not run the gate: it coalesces unless configured with
+``force_mode: "passthrough"``. The gate stays as a library for acceptance
+criterion 8 and the layer replay in ``bench/layers.py``.
 """
 
 from __future__ import annotations

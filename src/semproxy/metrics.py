@@ -122,6 +122,8 @@ class MetricsCollector:
         self.total_cache_hits = 0
         self.total_cache_misses = 0
         self.global_response_hist = LatencyHistogram()
+        # no request waits for its window, so this stays empty and reads 0;
+        # the benchmark harness reads its keys in counters()
         self.window_wait_hist = LatencyHistogram()
         # delivery ledger
         self.admitted = 0
@@ -154,6 +156,8 @@ class MetricsCollector:
         self.total_backend_calls += 1
 
     def record_batch(self, duplicate_ratio: float) -> None:
+        """One duplicate ratio: a batch's, or a single request's, 1.0 when
+        it repeats a key and 0.0 when it does not."""
         self._interval.ratio_sum += duplicate_ratio
         self._interval.ratio_batches += 1
 
@@ -162,9 +166,6 @@ class MetricsCollector:
         self._interval.cache_misses += misses
         self.total_cache_hits += hits
         self.total_cache_misses += misses
-
-    def record_window_wait(self, ns: int) -> None:
-        self.window_wait_hist.record_ns(ns)
 
     def set_gate_mode(self, mode: str) -> None:
         self.gate_mode = mode

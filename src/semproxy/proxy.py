@@ -1,30 +1,26 @@
 """The coalescing reverse proxy.
 
 One asyncio event loop on one thread does all the work. Each client
-connection is a task that reads a request, parses it and admits it into the
-window collector. A timer armed with ``loop.call_at`` only while a window
-holds requests closes the window at its epoch-aligned end. The selector
-rounds a timeout up to whole milliseconds, so the timer is armed
-``_TIMER_LEAD_NS`` early and closes the window as of its end: the close
-lands within about half a millisecond of the end, either side. Each window
-runs in one mode, set by the gate's decision when the previous window
-closed; a mode can therefore change only at a window boundary.
+connection is a task that reads a request, parses it and answers it
+without waiting for anything but a backend call. Windows are
+``window_ms`` slots of the monotonic clock, counted from the proxy's
+start; a request's window and its end are arithmetic on its admission
+time, so nothing has to close a window.
 
-- Sem mode: the request's key is built at admission, and the request is
-  answered without waiting for its window. A live cached reply is written
-  at once. Otherwise ``_calls`` holds one ``_Call`` per key. A request that
-  finds none leads: its connection task calls the backend over a bounded
-  pool of keep-alive connections and resolves the call's future once, with
-  the reply or fault. A request that finds the call in flight joins it
-  (single flight) and awaits the future through ``asyncio.shield``, so a
-  joiner that stops waiting cannot cancel it for the others. A 200 reply
-  is reused until ``expires_at``, the end of its leader's window, and that
-  window's close drops it. So a key makes one backend call per window,
-  and one call in flight serves later windows too.
-- Passthrough mode: the connection task forwards its request at once and
-  writes the backend's reply; nothing joins the call. The window only
-  measures: when it closes, the duplicate ratio of its keys goes to the
-  gate, which needs it to re-enter sem mode.
+- Sem mode, the default: the request's key is built at admission. A live
+  cached reply is written at once. Otherwise ``_calls`` holds one
+  ``_Call`` per key. A request that finds none leads: its connection task
+  calls the backend over a bounded pool of keep-alive connections and
+  resolves the call's future once, with the reply or fault. A request
+  that finds the call in flight joins it (single flight) and awaits the
+  future through ``asyncio.shield``, so a joiner that stops waiting cannot
+  cancel it for the others. A 200 reply is reused until ``expires_at``,
+  the end of its leader's window; a timer armed with ``loop.call_at`` for
+  that end then drops it from the map. So a key makes one backend call
+  per window, and one call in flight serves later windows too.
+- Passthrough mode (``force_mode: "passthrough"``): the connection task
+  forwards its request at once and writes the backend's reply; no key is
+  built and nothing joins the call.
 
 A client that closed its connection before its reply was ready gets none
 and counts in ``dropped_disconnects``, as does a joiner that times out.
@@ -44,19 +40,14 @@ from typing import NamedTuple, Optional
 
 from . import http11, soap
 from .config import ProxyConfig
-from .dedup import DedupConfig, Deduplicator, duplicate_ratio
-from .gate import AdaptiveGate, GateConfig, GateMode, GateObservation
+from .dedup import DedupConfig, Deduplicator
 from .metrics import MetricsCollector, export_csv_path
-from .windowing import WindowBatch, WindowCollector
 
 HEALTH_PATH = b"/_sem/health"
 _XML = b"text/xml; charset=utf-8"
 _JSON = b"application/json"
 _STAGE_FAULT = soap.build_fault("Server", "proxy stage failure")
 _TIMEOUT_FAULT = soap.build_fault("Server.Timeout", "pipeline timeout")
-# the window timer fires this long before the window's end: half the
-# selector's 1 ms resolution, which rounds every timeout up
-_TIMER_LEAD_NS = 500_000
 
 log = logging.getLogger(__name__)
 
@@ -73,11 +64,6 @@ class SemProxy:
         self.config = config or ProxyConfig()
         cfg = self.config
         self.metrics = MetricsCollector()
-        # batches are taken off the queue as soon as they are emitted, so
-        # it never holds more than one
-        self.collector = WindowCollector(
-            window_ns=int(cfg.window_ms * 1e6),
-            max_batch_size=cfg.max_batch_size, queue_depth=0)
         self.deduper = Deduplicator(
             DedupConfig(
                 cache_enabled=cfg.cache_enabled,
@@ -87,32 +73,25 @@ class SemProxy:
             ),
             denylist=cfg.operation_denylist,
         )
-        self.gate = AdaptiveGate(GateConfig(
-            enter_threshold=cfg.gate_enter,
-            exit_threshold=cfg.gate_exit,
-            alpha=cfg.gate_alpha,
-            overhead_budget_pct=cfg.overhead_budget_pct,
-        ))
-        forced = cfg.force_mode
-        self._forced_mode = None if not forced else (
-            GateMode.SEM if forced == "sem" else GateMode.PASSTHROUGH)
-        self.metrics.set_gate_mode(self._mode().value)
+        self._sem = cfg.force_mode != "passthrough"
+        self.metrics.set_gate_mode("sem" if self._sem else "passthrough")
         self.backend = http11.BackendPool(
             cfg.backend_url, cfg.max_connections,
             cfg.connect_timeout_s, cfg.request_timeout_s)
         self.snapshots = deque(maxlen=7200)
         self.stage_failures = 0
-        self._pipeline_timeout_s = (
-            cfg.request_timeout_s + cfg.window_ms / 250.0 + 2.0)
+        self._pipeline_timeout_s = cfg.request_timeout_s + 2.0
         self._ids = count(1)
+        # window k spans [_epoch + k * _window_ns, _epoch + (k+1) * _window_ns)
+        self._window_ns = max(1, int(cfg.window_ms * 1e6))
+        self._epoch = time.monotonic_ns()
+        # the last window that admitted a request, and how many windows did
+        self._slot = -1
+        self._windows = 0
         # requests awaiting a backend call, their own or one they joined
         self._waiting = 0
         # each key's call in flight, or its 200 reply reusable until expiry
         self._calls: dict[bytes, _Call] = {}
-        # key of each sem request in an open window, built at admission and
-        # popped when the window closes
-        self._keys: dict[int, Optional[bytes]] = {}
-        self._window_timer: Optional[asyncio.TimerHandle] = None
         self._snapshot_timer: Optional[asyncio.TimerHandle] = None
         self._connections: set[asyncio.Task] = set()
         # writers of connections waiting for their next request
@@ -135,8 +114,8 @@ class SemProxy:
         asyncio.run_coroutine_threadsafe(self._start(), self._loop).result()
 
     def stop(self, metrics_csv: Optional[str] = None) -> None:
-        """Graceful shutdown: stop accepting, close the open window, answer
-        every request in flight, then close client and backend connections."""
+        """Graceful shutdown: stop accepting, answer every request in
+        flight, then close client and backend connections."""
         if self._thread.is_alive():
             bound = self._pipeline_timeout_s + self.config.connect_timeout_s + 5
             done = asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop)
@@ -164,7 +143,8 @@ class SemProxy:
         data = self.metrics.counters()
         data["cache_entries"] = (
             len(self.deduper.cache) if self.deduper.cache is not None else 0)
-        data["flushed_batches"] = self.collector.flushed_batches
+        # the number of windows that admitted a request
+        data["flushed_batches"] = self._windows
         data["in_flight"] = self._waiting
         data["stage_failures"] = self.stage_failures
         return data
@@ -195,10 +175,8 @@ class SemProxy:
         self._snapshot_timer.cancel()
         for writer in self._idle_connections:
             writer.close()  # the pending read sees end of stream
-        self.collector.flush(time.monotonic_ns() + self.collector.window_ns)
-        self._drain_batches()
-        # a request still being read is admitted later and closes its own
-        # window, so wait until every connection has finished
+        # a request still being read is admitted later and answered, so
+        # wait until every connection has finished
         while self._connections:
             await asyncio.wait(self._connections)
         await self.backend.close()
@@ -284,34 +262,39 @@ class SemProxy:
             return 400, soap.build_fault(
                 "Client", f"{type(exc).__name__}: {exc}"), False
         self.metrics.admitted += 1
-        # admit closes every window that has ended, and _drain_batches
-        # processes it, which sets the mode of the window req is in
         now = time.monotonic_ns()
-        self.collector.admit(req, now)
-        window_end = self.collector.open_window_end
-        self._drain_batches()
-        self._arm_window_timer()
-        self.metrics.record_window_wait(0)
-        key = None
-        if self._mode() is GateMode.SEM:
-            try:
-                key = self._keys[rid] = self.deduper.key(req)
-                reply = self._cached(key)
-            except Exception:
-                log.exception("admitting request %d failed", rid)
-                self.stage_failures += 1
-                return 500, _STAGE_FAULT, True
-            if reply is not None:
+        slot = (now - self._epoch) // self._window_ns
+        if slot != self._slot:
+            self._slot = slot
+            self._windows += 1
+        if not self._sem:
+            return await self._forward(req, None, 0)
+        try:
+            key = self.deduper.key(req)
+            reply = self._cached(key)
+        except Exception:
+            log.exception("admitting request %d failed", rid)
+            self.stage_failures += 1
+            return 500, _STAGE_FAULT, True
+        # the interval's duplicate ratio: the share of sem requests that
+        # repeat a key, by a cache hit, a join or a reuse
+        if reply is not None:
+            self.metrics.record_batch(1.0)
+            return 200, reply, True
+        call = self._calls.get(key)  # a None key never has one
+        if call is not None:
+            if not call.future.done():
+                self.metrics.singleflight_joins += 1
+                self.metrics.record_batch(1.0)
+                return await self._join(call)
+            # a done entry holds a 200; its expiry timer may fire late
+            if now < call.expires_at:
+                reply = call.future.result()[1]
+                self._offer(key, reply)
+                self.metrics.record_batch(1.0)
                 return 200, reply, True
-            call = self._calls.get(key)  # a None key never has one
-            if call is not None:
-                if not call.future.done():
-                    self.metrics.singleflight_joins += 1
-                    return await self._join(call)
-                if now < call.expires_at:  # a done entry holds a 200
-                    reply = call.future.result()[1]
-                    self._offer(key, reply)
-                    return 200, reply, True
+        self.metrics.record_batch(0.0)
+        window_end = self._epoch + (slot + 1) * self._window_ns
         return await self._forward(req, key, window_end)
 
     def _cached(self, key: Optional[bytes]) -> Optional[bytes]:
@@ -367,10 +350,13 @@ class SemProxy:
             self._waiting -= 1
             if call is not None:
                 call.future.set_result((status, body))
-                # reusable only while its window is open, whose close drops it
-                if (status != 200
-                        or self.collector.open_window_end != window_end):
+                # reusable only while its window is open
+                if status != 200 or time.monotonic_ns() >= window_end:
                     del self._calls[key]
+                else:
+                    # loop.time() is time.monotonic()
+                    self._loop.call_at(
+                        window_end / 1e9, self._expire, key, call)
         if call is not None and status == 200:
             self._offer(key, body)
         return status, body, True
@@ -384,76 +370,18 @@ class SemProxy:
 
     async def _call_backend(self, req: soap.SoapRequest) -> tuple[int, bytes]:
         self.metrics.record_backend_call()
-        t0 = time.monotonic_ns()
         try:
-            status, body = await self.backend.post(
+            return await self.backend.post(
                 req.raw_envelope, req.operation.encode())
         except http11.POST_ERRORS as exc:
             return 502, soap.build_fault(
                 "Server.Unavailable", f"backend error: {type(exc).__name__}")
-        self.gate.note_service_time(time.monotonic_ns() - t0)
-        return status, body
 
-    # -------------------------------------------------------------- windowing
-
-    def _arm_window_timer(self) -> None:
-        if self._window_timer is None:
-            end_ns = self.collector.open_window_end
-            if end_ns is not None:
-                # loop.time() is time.monotonic(), the collector's clock
-                self._window_timer = self._loop.call_at(
-                    (end_ns - _TIMER_LEAD_NS) / 1e9, self._close_window,
-                    end_ns)
-
-    def _close_window(self, end_ns: int) -> None:
-        """Close the window ending at end_ns, even if the timer fired
-        before it; a request admitted before end_ns then opens the next
-        window."""
-        self._window_timer = None
-        self.collector.flush(max(time.monotonic_ns(), end_ns))
-        self._drain_batches()
-        self._arm_window_timer()
-
-    def _drain_batches(self) -> None:
-        out = self.collector.out_queue
-        while not out.empty():
-            batch = out.get_nowait()
-            end = batch.window_end
-            # the replies reusable in the closed window leave
-            self._calls = {k: c for k, c in self._calls.items()
-                           if not c.future.done() or c.expires_at > end}
-            try:
-                self._measure(batch)
-            except Exception:
-                # every request was forwarded or answered at admission
-                log.exception("batch %d failed", batch.batch_id)
-                self.stage_failures += 1
-
-    def _mode(self) -> GateMode:
-        """Mode of the open window: the forced one, else the gate's
-        decision when the previous window closed."""
-        return self._forced_mode or self.gate.mode
-
-    def _measure(self, batch: WindowBatch) -> None:
-        """Feed one closed window's duplicate ratio to the gate and set the
-        next window's mode. A sem window reads the keys built at
-        admission."""
-        t0 = time.monotonic_ns()
-        if self._mode() is GateMode.SEM:
-            keys = [self._keys.pop(r.request_id, None) for r in batch.requests]
-        else:
-            keys = [self.deduper.key(req) for req in batch.requests]
-        ratio = duplicate_ratio(keys)
-        analysis_ns = time.monotonic_ns() - t0
-        self.gate.observe(GateObservation(
-            batch_id=batch.batch_id,
-            duplicate_ratio=ratio,
-            analysis_cost_ns=analysis_ns,
-            batch_size=len(batch.requests),
-        ))
-        if self._forced_mode is None:
-            self.metrics.set_gate_mode(self.gate.decide().mode.value)
-        self.metrics.record_batch(ratio)
+    def _expire(self, key: bytes, call: _Call) -> None:
+        """End of call's window: drop its reply, unless a later call of key
+        has taken its place."""
+        if self._calls.get(key) is call:
+            del self._calls[key]
 
 
 def serve(listen_addr: tuple[str, int], config: ProxyConfig) -> SemProxy:

@@ -4,6 +4,12 @@ Requests admitted during one window form a batch ("current collection")
 that is released downstream when the window closes, or early when the
 batch reaches max_batch_size. Windows are aligned to the monotonic clock
 at collector start; wall-clock time is never used.
+
+The proxy does not use this collector: it derives a request's window
+from its admission time and never waits for a window to close. The
+collector stays as a library for the batch grouping of
+``dedup.Deduplicator.dedup`` and for the layer replay in
+``bench/layers.py``.
 """
 
 from __future__ import annotations
@@ -33,8 +39,7 @@ class WindowBatch:
 class WindowCollector:
     """Collects requests into contiguous window batches.
 
-    Not thread-safe: admit and flush run on one thread (the proxy's event
-    loop). Closed batches go to ``out_queue``; when it is full, the
+    Not thread-safe: admit and flush must run on one thread. Closed batches go to ``out_queue``; when it is full, the
     incoming request overflows so the caller can bypass the optimizer
     instead of dropping.
     """

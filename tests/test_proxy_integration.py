@@ -19,6 +19,7 @@ from conftest import (assert_exactly_once, backend_calls, proxy_health,
 from semproxy import soap
 from semproxy.config import ProxyConfig
 from semproxy.mock_backend import MockBackendConfig
+from semproxy.proxy import SemProxy
 
 
 def post(url, body, timeout=30):
@@ -40,7 +41,7 @@ def posts_from_callers(url, bodies, callers=8):
 
 def sleep_to_window_start(proxy, margin_s=0.002):
     """Sleep until just after the proxy's next window opens."""
-    epoch, period = proxy.collector._epoch, proxy.collector.window_ns
+    epoch, period = proxy._epoch, proxy._window_ns
     now = time.monotonic_ns()
     time.sleep((period - (now - epoch) % period) / 1e9 + margin_s)
 
@@ -153,8 +154,8 @@ class TestCoalescing:
             assert_exactly_once(proxy)
 
     def test_early_flush_at_max_batch_size_keeps_reuse(self, fast_backend):
-        # the third post closes its window's batch early, yet lands in the
-        # same window, whose end alone ends the reuse of the first reply
+        # max_batch_size does not split a window: the third post lands in
+        # the same window, whose end alone ends the reuse of the first reply
         cfg = ProxyConfig(window_ms=2000, max_batch_size=2, force_mode="sem")
         body = soap.build_request_envelope("Search", ["same"])
         with running_proxy(fast_backend, cfg) as proxy:
@@ -164,7 +165,7 @@ class TestCoalescing:
                            for _ in range(3)]
             assert [r.status_code for r in replies] == [200] * 3
             assert len({r.content for r in replies}) == 1
-            assert proxy.collector.flushed_batches == 1
+            assert proxy_health(proxy)["flushed_batches"] == 1
             assert backend_calls(fast_backend) == 1
             assert_exactly_once(proxy)
 
@@ -218,21 +219,6 @@ class TestCoalescing:
                 results = concurrent_post(url_of(proxy), [body] * 12, workers=12)
                 assert {s for s, _ in results} == {200}
                 assert backend_calls(backend) == 12
-
-    def test_denylisted_operation_measures_as_distinct_in_passthrough(
-            self, fast_backend):
-        # both modes take the grouping key from one place, so the gate
-        # sees no duplicates in a stream it may never coalesce
-        cfg = ProxyConfig(window_ms=30, operation_denylist=["Search"])
-        with running_proxy(fast_backend, cfg) as proxy:
-            body = soap.build_request_envelope("Search", ["same"])
-            for _ in range(8):
-                results = concurrent_post(url_of(proxy), [body] * 8, workers=8)
-                assert {s for s, _ in results} == {200}
-                time.sleep(0.05)
-            assert proxy.gate.ratio_ewma == 0.0
-            assert proxy_health(proxy)["gate_mode"] == "passthrough"
-            assert_exactly_once(proxy)
 
 
 class TestResponseCache:
@@ -321,105 +307,6 @@ class TestGateIntegration:
             assert proxy_health(proxy)["window_wait_p95_ms"] <= 0.05
             assert_exactly_once(proxy)
 
-    def test_hot_stream_re_enters_sem_within_three_windows(self, fast_backend):
-        cfg = ProxyConfig(window_ms=30, gate_alpha=0.5)
-        window_s = cfg.window_ms / 1000
-
-        def burst(bodies):
-            """Send bodies on open keep-alive connections just after a
-            window starts, so they all land in that window; return once
-            the window has closed."""
-            sleep_to_window_start(proxy)
-            for conn, body in zip(conns, bodies):
-                conn.request("POST", "/", body,
-                             {"Content-Type": "text/xml; charset=utf-8"})
-            for conn in conns:
-                resp = conn.getresponse()
-                assert resp.status == 200
-                resp.read()
-            time.sleep(window_s)
-
-        with running_proxy(fast_backend, cfg) as proxy:
-            conns = [http.client.HTTPConnection(*proxy.address, timeout=10)
-                     for _ in range(10)]
-            try:
-                for i in range(20):
-                    if proxy_health(proxy)["gate_mode"] == "passthrough":
-                        break
-                    burst([soap.build_request_envelope("Search", [f"c{i}-{j}"])
-                           for j in range(10)])
-                assert proxy_health(proxy)["gate_mode"] == "passthrough"
-                hot = [soap.build_request_envelope("Search", ["hot"])] * 10
-                for _ in range(3):
-                    burst(hot)
-                    if proxy_health(proxy)["gate_mode"] == "sem":
-                        break
-                assert proxy_health(proxy)["gate_mode"] == "sem"
-                calls = backend_calls(fast_backend)
-                burst(hot)
-                assert backend_calls(fast_backend) == calls + 1
-                assert_exactly_once(proxy)
-            finally:
-                for conn in conns:
-                    conn.close()
-
-    def test_cache_hits_keep_a_hot_stream_in_sem(self, fast_backend):
-        # a cache hit repeats its key like any other duplicate; counted as
-        # distinct, a warm cache would drop the gate to passthrough, whose
-        # forwarded windows measure hot again and send it back
-        hot = soap.build_request_envelope("Search", ["hot"])
-
-        def stream(cache_enabled):
-            """60 bursts of 8 identical posts, 30 ms apart: backend calls
-            made and the gate modes seen after each burst."""
-            cfg = ProxyConfig(window_ms=20, cache_enabled=cache_enabled,
-                              cache_ttl_ms=1000)
-            calls, modes = backend_calls(fast_backend), set()
-            with running_proxy(fast_backend, cfg) as proxy:
-                conns = [http.client.HTTPConnection(*proxy.address, timeout=10)
-                         for _ in range(8)]
-                try:
-                    for _ in range(60):
-                        for conn in conns:
-                            conn.request("POST", "/", hot, {
-                                "Content-Type": "text/xml; charset=utf-8"})
-                        for conn in conns:
-                            resp = conn.getresponse()
-                            assert resp.status == 200
-                            resp.read()
-                        modes.add(proxy.health()["gate_mode"])
-                        time.sleep(0.03)
-                    assert_exactly_once(proxy)
-                finally:
-                    for conn in conns:
-                        conn.close()
-            return backend_calls(fast_backend) - calls, modes
-
-        calls_cached, modes_cached = stream(cache_enabled=True)
-        calls_uncached, _ = stream(cache_enabled=False)
-        assert modes_cached == {"sem"}
-        assert calls_cached < calls_uncached
-
-    def test_adaptive_gate_switches_modes(self, fast_backend):
-        cfg = ProxyConfig(window_ms=30, gate_alpha=0.5)
-        with running_proxy(fast_backend, cfg) as proxy:
-            hot = soap.build_request_envelope("Search", ["hot"])
-            for _ in range(4):
-                concurrent_post(url_of(proxy), [hot] * 10, workers=10)
-                time.sleep(0.05)
-            assert proxy_health(proxy)["gate_mode"] == "sem"
-            for i in range(8):
-                bodies = [soap.build_request_envelope("Search", [f"c{i}-{j}"])
-                          for j in range(10)]
-                concurrent_post(url_of(proxy), bodies)
-                time.sleep(0.05)
-            assert proxy_health(proxy)["gate_mode"] == "passthrough"
-            for _ in range(8):
-                concurrent_post(url_of(proxy), [hot] * 10, workers=10)
-                time.sleep(0.05)
-            assert proxy_health(proxy)["gate_mode"] == "sem"
-            assert_exactly_once(proxy)
-
 
 class TestHealthEndpoint:
     def test_health_reports_counters(self, fast_backend):
@@ -430,6 +317,26 @@ class TestHealthEndpoint:
                         "window_wait_p95_ms", "requests"):
                 assert key in health
             assert health["admitted"] == health["delivered"] == 1
+            assert health["gate_mode"] == "sem"  # coalescing is the default
+
+    def test_snapshot_reports_the_share_of_repeated_keys(self, fast_backend):
+        # the first of 8 identical posts leads; the other 7 join its call
+        # or reuse its reply, and each of 8 distinct posts leads its own
+        cfg = ProxyConfig(window_ms=2000, metrics_interval_s=60)
+        hot = [soap.build_request_envelope("Search", ["hot"])] * 8
+        cold = [soap.build_request_envelope("Search", [f"c{i}"])
+                for i in range(8)]
+        with running_proxy(fast_backend, cfg) as proxy:
+            sleep_to_window_start(proxy)
+            results = concurrent_post(url_of(proxy), hot + cold)
+            assert {s for s, _ in results} == {200}
+            assert backend_calls(fast_backend) == 9
+
+            async def snapshot():
+                return proxy.metrics.snapshot()
+            snap = asyncio.run_coroutine_threadsafe(
+                snapshot(), proxy._loop).result(5)
+            assert snap.duplicate_ratio_mean == 7 / 16
 
     def test_interval_snapshots_exported_on_stop(self, fast_backend, tmp_path):
         from semproxy import proxy as px
@@ -486,9 +393,12 @@ class TestDeliveryState:
     @pytest.mark.parametrize("stage,status", [("backend.post", 500),
                                               ("deduper.key", 200)])
     def test_stage_exception_in_passthrough(self, fast_backend, stage, status):
-        # a failed forward faults only its own client; a failed measurement
-        # of a window faults nobody, as its requests were already forwarded
+        # a failed forward faults only its own client, and passthrough never
+        # builds a key, so a broken key stage faults nobody
+        calls = []
+
         def broken(*args):
+            calls.append(args)
             raise RuntimeError("injected stage failure")
 
         cfg = ProxyConfig(window_ms=20, force_mode="passthrough")
@@ -502,11 +412,10 @@ class TestDeliveryState:
             results = concurrent_post(url_of(proxy), bodies)
             assert time.monotonic() - t0 < 1.0
             assert {s for s, _ in results} == {status}
-            deadline = time.monotonic() + 1.0
-            while proxy_health(proxy)["stage_failures"] == 0:
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
-            assert proxy_health(proxy)["in_flight"] == 0
+            assert len(calls) == (len(bodies) if stage == "backend.post" else 0)
+            health = proxy_health(proxy)
+            assert health["stage_failures"] == len(calls)
+            assert health["in_flight"] == 0
             assert_exactly_once(proxy)
 
     @pytest.mark.parametrize("mode", ["sem", "passthrough"])
@@ -568,10 +477,10 @@ def pending_sizes(proxy):
 
 
 def admission_marks(proxy):
-    """Sizes of the proxy's per-request admission state and of its map of
-    calls in flight and reusable replies, read on the loop."""
+    """Size of the proxy's map of calls in flight and reusable replies,
+    read on the loop."""
     async def read():
-        return len(proxy._keys), len(proxy._calls)
+        return len(proxy._calls)
     return asyncio.run_coroutine_threadsafe(read(), proxy._loop).result(5)
 
 
@@ -644,7 +553,7 @@ class TestSingleFlight:
             time.sleep(0.2)
             assert post(url_of(proxy), body).status_code == 200
             assert backend_calls(slow_backend) == 2
-            assert admission_marks(proxy)[1] == 0
+            assert admission_marks(proxy) == 0
             assert_exactly_once(proxy)
 
     def test_denylisted_operation_never_joins(self, slow_backend):
@@ -700,7 +609,7 @@ class TestSingleFlight:
         with running_proxy(fast_backend, cfg) as proxy:
             proxy.backend.post = slow_error
             sleep_to_window_start(proxy)
-            windows = proxy.collector.flushed_batches
+            windows = proxy_health(proxy)["flushed_batches"]
             first = self.in_background(post, url_of(proxy), body)
             wait_for(lambda: pending_sizes(proxy) == [1])
             joiners = concurrent_post(url_of(proxy), [body] * 2)
@@ -711,7 +620,7 @@ class TestSingleFlight:
             later = post(url_of(proxy), body)
             assert (later.status_code, later.content) == (
                 500, b"backend fault 2")
-            assert proxy.collector.flushed_batches == windows
+            assert proxy_health(proxy)["flushed_batches"] == windows + 1
             assert len(calls) == 2
             assert proxy_health(proxy)["singleflight_joins"] == 2
             assert_exactly_once(proxy)
@@ -785,8 +694,8 @@ class TestSingleFlight:
         assert proxy._calls == {}
 
     def test_window_close_forgets_the_replies_it_reused(self, fast_backend):
-        # each call completes inside its window, so only the window's close
-        # takes its reply out of the map
+        # each call completes inside its window, so only the expiry timer
+        # armed for the window's end takes its reply out of the map
         cfg = ProxyConfig(window_ms=200, force_mode="sem")
         bodies = [soap.build_request_envelope("Search", [f"k{i}"])
                   for i in range(3)]
@@ -797,9 +706,38 @@ class TestSingleFlight:
                     assert s.post(url_of(proxy), data=body,
                                   timeout=10).status_code == 200
                 assert backend_calls(fast_backend) == 3
-                assert admission_marks(proxy)[1] == 3
-                time.sleep(0.3)  # past the window's end
-                assert admission_marks(proxy) == (0, 0)
+                assert admission_marks(proxy) == 3
+                time.sleep(0.3)  # past the window's end, with no traffic
+                assert admission_marks(proxy) == 0
+            assert_exactly_once(proxy)
+
+    def test_reply_is_not_reused_past_its_window_before_its_timer_fires(
+            self, fast_backend):
+        # the expiry timer may fire late: until it does, expires_at alone
+        # keeps a later window from reusing the reply, and when it fires it
+        # must leave the key's new call in the map
+        cfg = ProxyConfig(window_ms=300, force_mode="sem")
+        body = soap.build_request_envelope("Search", ["hot"])
+        with running_proxy(fast_backend, cfg) as proxy:
+            timers = []
+            proxy._expire = lambda key, call: timers.append((key, call))
+            with requests.Session() as s:
+                sleep_to_window_start(proxy, margin_s=0.01)
+                first = s.post(url_of(proxy), data=body, timeout=10)
+                wait_for(lambda: len(timers) == 1)  # its window has ended
+                assert admission_marks(proxy) == 1
+                sleep_to_window_start(proxy, margin_s=0.01)
+                second = s.post(url_of(proxy), data=body, timeout=10)
+            assert first.status_code == second.status_code == 200
+            assert backend_calls(fast_backend) == 2
+
+            async def late_timer():
+                key, call = timers[0]
+                SemProxy._expire(proxy, key, call)
+                return call, proxy._calls.get(key)
+            old, new = asyncio.run_coroutine_threadsafe(
+                late_timer(), proxy._loop).result(5)
+            assert new is not None and new is not old
             assert_exactly_once(proxy)
 
     def test_hot_run_leaves_nothing_pending(self):
@@ -826,24 +764,33 @@ class TestSingleFlight:
                 health = proxy_health(proxy)
                 assert health["in_flight"] == 0
                 assert pending_sizes(proxy) == []
-                assert admission_marks(proxy) == (0, 0)
+                assert admission_marks(proxy) == 0
                 assert health["backend_calls"] == backend_calls(backend)
                 assert health["admitted"] == health["delivered"] == 240
                 assert_exactly_once(proxy)
                 return health
 
 
+def loaded_by(modules, name):
+    """Whether importing modules in a fresh interpreter loads module name."""
+    import semproxy
+    src = str(Path(semproxy.__file__).resolve().parents[1])
+    code = f"import sys, {modules}; print({name!r} in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip() == "True"
+
+
 class TestNoRequestsOnServerPath:
     def test_server_modules_do_not_import_requests(self):
-        import semproxy
-        src = str(Path(semproxy.__file__).resolve().parents[1])
-        code = ("import sys, semproxy.cli, semproxy.proxy, semproxy.loadgen, "
-                "semproxy.mock_backend; print('requests' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, timeout=60)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert not loaded_by("semproxy.cli, semproxy.proxy, semproxy.loadgen, "
+                             "semproxy.mock_backend", "requests")
+
+    def test_proxy_does_not_import_the_gate(self):
+        # the proxy always coalesces unless forced to passthrough
+        assert not loaded_by("semproxy.cli, semproxy.proxy", "semproxy.gate")
 
     def test_environment_proxy_is_not_used_for_the_backend(
             self, fast_backend, monkeypatch):
